@@ -141,7 +141,7 @@ def _fig1(enabled):
     set_default_enabled(enabled)
     try:
         results = fig1_sweep(
-            engine=SweepEngine(preflight=False, oracle=False))
+            engine=SweepEngine(check=False))
     finally:
         set_default_enabled(True)
     return int(sum(r.cycles * 2 for r in results)), results

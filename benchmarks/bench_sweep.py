@@ -51,15 +51,14 @@ def run_bench(quick: bool = False, log_dir=None) -> dict:
         return fig1_sweep(engine=engine, **kwargs)
 
     # Arm A: telemetry off (the --no-telemetry path).
-    sec_off, r_off = _timed(
-        lambda: sweep(SweepEngine(preflight=False, oracle=False)))
+    sec_off, r_off = _timed(lambda: sweep(SweepEngine(check=False)))
 
     # Arm B: telemetry on, events to a scratch log.
     scratch = pathlib.Path(log_dir if log_dir is not None
                            else tempfile.mkdtemp(prefix="bench-sweep-"))
     log = scratch / "bench_sweep.jsonl"
     bus = TelemetryBus(str(log))
-    eng_on = SweepEngine(preflight=False, oracle=False, telemetry=bus)
+    eng_on = SweepEngine(check=False, telemetry=bus)
     sec_on, r_on = _timed(lambda: sweep(eng_on))
     bus.close()
 
@@ -69,12 +68,12 @@ def run_bench(quick: bool = False, log_dir=None) -> dict:
     events = list(read_events(str(log)))
 
     # Warm replay: cold populate then 100%-hit rerun, both telemetry-off
-    # (the cache aggregate, not another telemetry measurement).
+    # (the cache aggregate, not another telemetry measurement).  Checks
+    # stay on: only checked results are cached, so an unchecked
+    # populate would leave the replay with 0% hits.
     cache_dir = scratch / "cache"
-    _timed(lambda: sweep(SweepEngine(cache=ResultCache(cache_dir),
-                                     preflight=False, oracle=False)))
-    warm_eng = SweepEngine(cache=ResultCache(cache_dir),
-                           preflight=False, oracle=False)
+    _timed(lambda: sweep(SweepEngine(cache=ResultCache(cache_dir))))
+    warm_eng = SweepEngine(cache=ResultCache(cache_dir))
     sec_warm, _ = _timed(lambda: sweep(warm_eng))
 
     cells = len(r_off)

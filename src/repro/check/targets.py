@@ -283,7 +283,7 @@ def recurrence_targets() -> List[CheckTarget]:
 
 def compose_targets() -> List[CheckTarget]:
     """Every fig.-2 pair (fp x fp, int x int, fp x int; 39 targets)."""
-    from repro.check.compose import fig2_pairs
+    from repro.core.coexec import fig2_pairs
 
     return [ComposeTarget(a, b) for a, b in fig2_pairs()]
 

@@ -27,9 +27,12 @@ clock race detection, SPR span windows, (with ``--lint-src``) an AST
 determinism lint of the source tree, and the analytic-model pass
 reporting each stream's provable CPI interval.  The sweep commands run
 the same hazard/unit/race/span passes as a fail-fast pre-flight over
-every cell, then cross-check every simulated result against its static
-CPI interval (the :mod:`repro.model` differential oracle);
-``--no-check`` skips both.
+every cell they simulate, then cross-check every simulated result
+against its static CPI interval (the :mod:`repro.model` differential
+oracle).  A result is checked once, before it is published, and the
+cache holds only checked results, so cache hits are not re-checked.
+``--no-check`` skips both checks; its results are reported but never
+cached.
 
 ``repro certify`` (the :mod:`repro.check.recurrence` pass) emits the
 versioned recurrence certificates — per-stream period lattices and
@@ -54,7 +57,9 @@ binding constraint (e.g. ``fdiv: bound by non-pipelined divider
 interval 76t``).
 
 Sweep flags (the :mod:`repro.sweep` engine; ``fig1``, ``fig2``,
-``table1``, and ``app`` without ``--variant``):
+``table1``, and ``app`` without ``--variant``, which resolve their
+cells and reports through :mod:`repro.serve.targets`, exactly as the
+daemon does):
 
 * ``--jobs N`` fans independent cells out over N worker processes
   (default 1; results are collected in deterministic order, so reports
@@ -112,16 +117,8 @@ from repro.common.errors import (
     UsageError,
     format_cli_error,
 )
-from repro.core import (
-    app_sweep,
-    coexec_sweep,
-    fig1_sweep,
-    measure_stream_cpi,
-    run_app_experiment,
-    table1_rows,
-)
+from repro.core import measure_stream_cpi, run_app_experiment
 from repro.core.apps import APP_SIZES
-from repro.core.coexec import FIG2A_STREAMS, FIG2B_STREAMS, FIG2C_PAIRS
 from repro.cpu.config import CoreConfig
 from repro.isa import ILP
 from repro.mem.config import MemConfig
@@ -136,6 +133,9 @@ from repro.sweep import ResultCache, SweepEngine
 from repro.workloads.common import Variant
 
 _ILP = {"min": ILP.MIN, "med": ILP.MED, "max": ILP.MAX}
+
+#: Figure 2 panel titles.
+_FIG2_TITLES = {"a": "fp x fp", "b": "int x int", "c": "fp x int"}
 
 #: Default cap on recorded trace events — bounds trace-file size and
 #: memory for long runs; the Chrome export flags truncation in
@@ -185,7 +185,9 @@ def _add_sweep_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--no-check", action="store_true",
                     help="skip the static pre-flight checks "
                     "(hazards/units/races/spans) before simulating and "
-                    "the model-bound oracle after")
+                    "the model-bound oracle after; unchecked results "
+                    "are never cached (cached results were checked "
+                    "before they were stored)")
     sp.add_argument("--no-fastpath", action="store_true",
                     help="disable the steady-state fast-forward and "
                     "step every tick (results are byte-identical either "
@@ -358,7 +360,8 @@ def _parser() -> argparse.ArgumentParser:
                     "recomputes; disables the warm fast path)")
     sv.add_argument("--no-check", action="store_true",
                     help="skip the static preflight and the model-bound "
-                    "oracle on cold cells")
+                    "oracle on cold cells; their results are served "
+                    "but never stored")
     sv.add_argument("--no-fastpath", action="store_true",
                     help="disable the steady-state fast-forward in the "
                     "workers")
@@ -372,16 +375,6 @@ def _parser() -> argparse.ArgumentParser:
                     help="write 'host port' to PATH once the socket is "
                     "bound (for scripted startup)")
     return p
-
-
-def _size_dict(app: str, size: Optional[int]) -> dict:
-    if size is None:
-        return APP_SIZES[app][min(1, len(APP_SIZES[app]) - 1)]
-    if app in ("mm", "lu"):
-        return {"n": size}
-    if app == "bt":
-        return {"grid": size}
-    raise UsageError("cg has a fixed scaled size; omit --size")
 
 
 def _make_engine(args: argparse.Namespace) -> SweepEngine:
@@ -415,28 +408,34 @@ def _make_engine(args: argparse.Namespace) -> SweepEngine:
                                            prefix=args.command)
             bus = _telemetry.TelemetryBus(path)
     return SweepEngine(jobs=args.jobs, cache=cache, fresh=args.fresh,
-                       preflight=not args.no_check,
-                       oracle=not args.no_check,
-                       telemetry=bus)
+                       check=not args.no_check, telemetry=bus)
 
 
-def _sweep_note(engine: SweepEngine) -> None:
+def _sweep(args: argparse.Namespace, params: dict) -> tuple:
+    """Run one named target through the sweep engine.
+
+    Cells, assembly and report come from
+    :func:`repro.serve.targets.resolve_target` — the daemon's own
+    resolver.  Returns ``(rows, report)``.
+    """
+    from repro.serve.targets import resolve_target
+
+    target = resolve_target(params)
+    engine = _make_engine(args)
+    rows = target.assemble(engine.run(target.cells))
     print(engine.stats.describe(), file=sys.stderr)
-    if engine.telemetry is not None:
-        print(f"telemetry: {engine.telemetry.path} "
+    bus, telemetry = engine.telemetry, None
+    if bus is not None:
+        from repro.telemetry import TELEMETRY_SCHEMA_VERSION
+
+        # The report's volatile pointer to this run's event log.
+        telemetry = {"schema_version": TELEMETRY_SCHEMA_VERSION,
+                     "log": bus.path, "run": bus.run_id}
+        print(f"telemetry: {bus.path} "
               f"(view with `repro top` / `repro telemetry`)",
               file=sys.stderr)
-
-
-def _telemetry_section(engine: SweepEngine) -> Optional[dict]:
-    """The report's volatile pointer to this run's event log."""
-    bus = engine.telemetry
-    if bus is None:
-        return None
-    from repro.telemetry import TELEMETRY_SCHEMA_VERSION
-
-    return {"schema_version": TELEMETRY_SCHEMA_VERSION,
-            "log": bus.path, "run": bus.run_id}
+    return rows, target.report(rows, sweep=engine.stats.to_dict(),
+                               telemetry=telemetry)
 
 
 def _observing(args: argparse.Namespace) -> bool:
@@ -471,75 +470,34 @@ def _write_trace(tracer: PipelineTracer, path: str) -> None:
 
 
 def _cmd_fig1(args: argparse.Namespace) -> int:
-    from repro.core.streams import FIG1_STREAMS
-    from repro.model import fig1_model_section
-
-    streams = FIG1_STREAMS
-    if args.streams is not None:
-        streams = tuple(s for s in
-                        (p.strip() for p in args.streams.split(","))
-                        if s)
-        if not streams:
-            raise UsageError("--streams must name at least one stream")
-    engine = _make_engine(args)
-    results = fig1_sweep(streams=streams, engine=engine)
-    report = build_report("fig1", results, core_config=CoreConfig(),
-                          mem_config=MemConfig(),
-                          sweep=engine.stats.to_dict(),
-                          model=fig1_model_section(results),
-                          telemetry=_telemetry_section(engine))
-    _sweep_note(engine)
-    _emit(args, report, render_fig1(results))
+    rows, report = _sweep(args, {"target": "fig1", "streams": args.streams})
+    _emit(args, report, render_fig1(rows))
     return 0
 
 
 def _cmd_fig2(args: argparse.Namespace) -> int:
-    engine = _make_engine(args)
-    panel, ilp = args.panel, _ILP[args.ilp]
-    if panel == "a":
-        pairs = [(a, b) for i, a in enumerate(FIG2A_STREAMS)
-                 for b in FIG2A_STREAMS[i:]]
-        title = f"fp x fp pairs ({ilp.name.lower()} ILP)"
-    elif panel == "b":
-        pairs = [(a, b) for i, a in enumerate(FIG2B_STREAMS)
-                 for b in FIG2B_STREAMS[i:]]
-        title = f"int x int pairs ({ilp.name.lower()} ILP)"
-    else:
-        pairs = list(FIG2C_PAIRS)
-        title = f"fp x int pairs ({ilp.name.lower()} ILP)"
-    results = coexec_sweep(pairs, ilp=ilp, engine=engine)
-    from repro.model import fig2_model_section
-
-    report = build_report(f"fig2{panel}", results, core_config=CoreConfig(),
-                          mem_config=MemConfig(),
-                          sweep=engine.stats.to_dict(),
-                          model=fig2_model_section(results),
-                          telemetry=_telemetry_section(engine),
-                          extra={"panel": panel, "ilp": ilp.name.lower()})
-    _sweep_note(engine)
-    _emit(args, report, render_fig2(results, f"Figure 2({panel}) — {title}"))
+    rows, report = _sweep(args, {"target": "fig2", "panel": args.panel,
+                                 "ilp": args.ilp})
+    title = f"{_FIG2_TITLES[args.panel]} pairs ({args.ilp} ILP)"
+    _emit(args, report,
+          render_fig2(rows, f"Figure 2({args.panel}) — {title}"))
     return 0
 
 
 def _cmd_app(args: argparse.Namespace) -> int:
+    from repro.serve.targets import app_size_dict
+
     name = args.name
-    size_d = _size_dict(name, args.size)
+    size_d = app_size_dict(name, args.size)
     if args.variant is None:
         if args.trace:
             raise UsageError("--trace records one run; pick it with --variant")
-        engine = _make_engine(args)
-        results = app_sweep(name, sizes=[size_d], engine=engine)
-        report = build_report(f"app-{name}", results,
-                              core_config=CoreConfig(),
-                              mem_config=MemConfig(),
-                              sweep=engine.stats.to_dict(),
-                              telemetry=_telemetry_section(engine),
-                              extra={"size": size_d})
-        _sweep_note(engine)
-        _emit(args, report, render_app_figure(results))
+        rows, report = _sweep(args, {"target": "app", "name": name,
+                                     "size": args.size})
+        _emit(args, report, render_app_figure(rows))
         status = 0
         if args.check:
-            checks = check_app_shapes(name, results)
+            checks = check_app_shapes(name, rows)
             if not args.json:
                 for c in checks:
                     print(c)
@@ -577,13 +535,7 @@ def _cmd_app(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    engine = _make_engine(args)
-    rows = table1_rows(engine=engine)
-    report = build_report("table1", rows, core_config=CoreConfig(),
-                          mem_config=MemConfig(),
-                          sweep=engine.stats.to_dict(),
-                          telemetry=_telemetry_section(engine))
-    _sweep_note(engine)
+    rows, report = _sweep(args, {"target": "table1"})
     _emit(args, report, render_table1(rows))
     return 0
 
@@ -714,8 +666,8 @@ def _certify_verify_pairs() -> list:
     lie on the certified period lattice (static joint period divides
     every dynamic jump delta).
     """
-    from repro.check.compose import _stream_trace, compose_pair, fig2_pairs
-    from repro.core.coexec import run_pair_cpis
+    from repro.check.compose import _stream_trace, compose_pair
+    from repro.core.coexec import fig2_pairs, run_pair_cpis
     from repro.cpu import fastpath
     from repro.isa.streams import ILP
 
@@ -811,6 +763,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_model(args: argparse.Namespace) -> int:
+    from repro.core.coexec import fig2_pairs
     from repro.model import (
         MODEL_SCHEMA_VERSION,
         MODEL_SLACK,
@@ -832,17 +785,10 @@ def _cmd_model(args: argparse.Namespace) -> int:
             stream_entries.append({"stream": name, "ilp": ilp.name,
                                    "solo": solo.to_dict(),
                                    "dual": dual.to_dict()})
-    fig2_pairs = (
-        [(a, b) for i, a in enumerate(FIG2A_STREAMS)
-         for b in FIG2A_STREAMS[i:]]
-        + [(a, b) for i, a in enumerate(FIG2B_STREAMS)
-           for b in FIG2B_STREAMS[i:]]
-        + list(FIG2C_PAIRS)
-    )
     pair_entries = []
     pair_table = []
     for ilp in ilps:
-        for a, b in fig2_pairs:
+        for a, b in fig2_pairs():
             pb = pair_bounds(a, b, ilp=ilp)
             pair_table.append(pb)
             pair_entries.append(pb.to_dict())
@@ -906,8 +852,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         scheduler = CellScheduler(
             cache_dir=None if args.no_cache else args.cache_dir,
             jobs=args.jobs,
-            preflight=not args.no_check,
-            oracle=not args.no_check,
+            check=not args.no_check,
             telemetry_dir=args.telemetry_dir,
             telemetry=not args.no_telemetry,
         )
@@ -915,8 +860,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise UsageError(
             f"--cache-dir {args.cache_dir!r} is unusable: {e} "
             f"(pick a writable directory or pass --no-cache)")
-    if scheduler.bus is not None:
-        print(f"telemetry: {scheduler.bus.path} "
+    if scheduler.telemetry is not None:
+        print(f"telemetry: {scheduler.telemetry.path} "
               f"(view with `repro top --telemetry-dir ...`)",
               file=sys.stderr)
     return run_server(scheduler, host=args.host, port=args.port,

@@ -247,17 +247,25 @@ def coexec_sweep(
     return assemble_coexec(pairs, ilp, solos, engine.run(cells))
 
 
+def _upper_pairs(streams) -> list[tuple[str, str]]:
+    """All ordered-unique pairs (including self-pairs) from ``streams``."""
+    return [(a, b) for i, a in enumerate(streams) for b in streams[i:]]
+
+
 def fig2_panel_pairs(panel: str) -> list[tuple[str, str]]:
     """The stream pairs of one fig.-2 panel (shared by CLI and serve)."""
     if panel == "a":
-        return [(a, b) for i, a in enumerate(FIG2A_STREAMS)
-                for b in FIG2A_STREAMS[i:]]
+        return _upper_pairs(FIG2A_STREAMS)
     if panel == "b":
-        return [(a, b) for i, a in enumerate(FIG2B_STREAMS)
-                for b in FIG2B_STREAMS[i:]]
+        return _upper_pairs(FIG2B_STREAMS)
     if panel == "c":
         return list(FIG2C_PAIRS)
     raise ConfigError(f"unknown fig2 panel {panel!r}; have a, b, c")
+
+
+def fig2_pairs() -> list[tuple[str, str]]:
+    """The full fig.-2 pair inventory: fp x fp, int x int, fp x int."""
+    return [pair for panel in "abc" for pair in fig2_panel_pairs(panel)]
 
 
 def coexec_matrix(
@@ -270,8 +278,7 @@ def coexec_matrix(
     pair_horizon_ticks: Optional[int] = None,
 ) -> list[CoexecResult]:
     """All ordered-unique pairs (including self-pairs) from ``streams``."""
-    pairs = [(a, b) for i, a in enumerate(streams) for b in streams[i:]]
-    return coexec_sweep(pairs, ilp=ilp, core_config=core_config,
+    return coexec_sweep(_upper_pairs(streams), ilp=ilp, core_config=core_config,
                         mem_config=mem_config, engine=engine,
                         solo_horizon_ticks=solo_horizon_ticks,
                         pair_horizon_ticks=pair_horizon_ticks)

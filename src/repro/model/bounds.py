@@ -45,7 +45,9 @@ from repro.isa.opcodes import Op, is_load, is_mem, is_store
 from repro.isa.streams import ILP, STREAM_OPS, StreamSpec
 from repro.mem.config import MemConfig
 
-#: Bumped on any change to the JSON bound layout.
+#: Bumped on any change to the JSON bound layout, or to the bounds
+#: themselves: it is part of every sweep-cell cache key, so a bump
+#: invalidates the stored results the old model vouched for.
 MODEL_SCHEMA_VERSION = 1
 
 #: Relative finite-horizon measurement slack baked into emitted

@@ -330,7 +330,7 @@ class ServeApp:
 
     async def _serve_events(self, query: Dict[str, str],
                             writer: asyncio.StreamWriter) -> None:
-        bus = self.scheduler.bus
+        bus = self.scheduler.telemetry
         if bus is None:
             self._write_response(writer, 400,
                                  {"error": "telemetry is disabled on "

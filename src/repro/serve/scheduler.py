@@ -1,30 +1,22 @@
 """The serving scheduler: persistent pool, warm fast path, coalescing.
 
 One :class:`CellScheduler` lives for the whole daemon.  Its
-:meth:`fetch` is the single entry point every request handler uses;
-per batch of cells it:
+:meth:`fetch` is the single entry point every request handler uses.
+The scheduler is a :class:`repro.sweep.engine.CellPipeline`, so each
+cell takes exactly the CLI engine's path — probe, preflight, execute,
+oracle, publish, with the same publish rule: only checked results
+reach the store, so a warm hit is answered from the store without
+re-running any check.  What the daemon adds:
 
-1. **probes** the object store — warm hits are answered immediately
-   (no preflight, no pool, no oracle; the stored entry passed both
-   when it was computed);
-2. enters the **single-flight table** for every miss: this request
-   leads the cells nobody else is computing and joins the flights of
-   cells already in the air;
-3. runs the engine's static **preflight** over the led cells only,
-   then shards them across the **persistent worker pool**
-   (``apply_async`` per cell — submission-order collection keeps
-   results deterministic);
-4. cross-checks fresh results against the analytic model (the same
-   differential oracle the engine runs), **publishes** them to the
-   store only once the oracle accepts, and then lands the flights —
-   neither joiners nor independent requests probing the store can
-   ever observe a result the oracle rejected, because a rejected
-   result never reaches the store in the first place.
-
-Everything the engine's workers do is reused verbatim
-(:func:`repro.sweep.engine._execute_task` and ``_pool_init``), so a
-cell computed by the daemon is byte-identical to one computed by the
-CLI — and the two share cache warmth in both directions.
+* the **single-flight table** around the misses: a request leads the
+  cells nobody else is computing and joins the flights of cells
+  already in the air; the leader runs the pipeline over the cells it
+  leads and lands their flights with the computed text;
+* the **persistent worker pool** (``apply_async`` per cell —
+  submission-order collection keeps results deterministic), running
+  the engine's own :func:`repro.sweep.engine._execute_task`, so a cell
+  computed by the daemon is byte-identical to one computed by the CLI;
+* its counters.
 
 Counters (:class:`ServeCounters`) are the observable contract the
 benchmarks assert on: a warm batch must leave ``pool_dispatches``
@@ -35,7 +27,6 @@ exactly one ``simulations`` increment.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import threading
 from dataclasses import dataclass, field
@@ -43,10 +34,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import CheckError, ConfigError
 from repro.serve.coalesce import SingleFlight
-from repro.serve.store import CacheAdapter
 from repro.sweep.cache import ResultCache
 from repro.sweep.cells import SweepCell, cell_label, runner_for
-from repro.sweep.engine import _execute_task, _pool_init
+from repro.sweep.engine import CellPipeline, Task, _execute_task, _new_pool
 from repro.telemetry.bus import TelemetryBus
 from repro.telemetry.bus import now as _now
 
@@ -126,7 +116,7 @@ class BatchOutcome:
         }
 
 
-class CellScheduler:
+class CellScheduler(CellPipeline):
     """Executes cell batches for the daemon; safe to call from any
     number of request-handler threads concurrently."""
 
@@ -134,30 +124,27 @@ class CellScheduler:
         self,
         cache_dir: Optional[str] = None,
         jobs: int = 1,
-        preflight: bool = True,
-        oracle: bool = True,
+        check: bool = True,
         telemetry_dir: Optional[str] = None,
         telemetry: bool = True,
     ):
         if not isinstance(jobs, int) or jobs < 1:
             raise ConfigError("jobs must be a positive integer")
         self.jobs = jobs
-        self.preflight = preflight
-        self.oracle = oracle
-        cache = ResultCache(cache_dir) if cache_dir is not None else None
-        self.store = CacheAdapter(cache)
+        self.check = check
+        self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.counters = ServeCounters()
         self._flights = SingleFlight()
         self._pool: Optional[Any] = None
         self._pool_lock = threading.Lock()
-        self.bus: Optional[TelemetryBus] = None
+        self.telemetry = None
         if telemetry:
             from repro import telemetry as _telemetry
 
             if _telemetry.enabled_by_env():
                 path = _telemetry.new_log_path(telemetry_dir,
                                                prefix="serve")
-                self.bus = TelemetryBus(path)
+                self.telemetry = TelemetryBus(path)
 
     # -- pool lifecycle ------------------------------------------------
 
@@ -174,17 +161,7 @@ class CellScheduler:
     def _ensure_pool(self) -> Any:
         with self._pool_lock:
             if self._pool is None:
-                methods = multiprocessing.get_all_start_methods()
-                ctx = multiprocessing.get_context(
-                    "fork" if "fork" in methods else None)
-                from repro.cpu.fastpath import default_enabled
-
-                tel_path = self.bus.path if self.bus is not None else None
-                run_id = self.bus.run_id if self.bus is not None else None
-                self._pool = ctx.Pool(
-                    processes=self.jobs,
-                    initializer=_pool_init,
-                    initargs=(default_enabled(), tel_path, run_id))
+                self._pool = _new_pool(self.jobs, self.telemetry)
             return self._pool
 
     def close(self) -> None:
@@ -193,8 +170,8 @@ class CellScheduler:
                 self._pool.terminate()
                 self._pool.join()
                 self._pool = None
-        if self.bus is not None:
-            self.bus.close()
+        if self.telemetry is not None:
+            self.telemetry.close()
 
     # -- the request path ----------------------------------------------
 
@@ -211,27 +188,16 @@ class CellScheduler:
         outcome = BatchOutcome(cells=n)
         keys = [cell.key() for cell in cells]
         labels = [cell_label(cell) for cell in cells]
-        bus = self.bus
+        bus = self.telemetry
         if bus is not None:
             bus.emit("sweep-begin", cells=n, jobs=self.jobs,
-                     cache_enabled=self.store.enabled)
+                     cache_enabled=self.cache is not None)
 
-        # Phase 1: the warm fast path.  Nothing below this loop runs
-        # for a fully-warm batch — no flights, no preflight, no pool.
-        texts: List[Optional[str]] = [None] * n
-        miss_idx: List[int] = []
-        probe_t0 = _now()
-        for i, cell in enumerate(cells):
-            text = None if fresh else self.store.probe(cell, keys[i])
-            if text is not None:
-                texts[i] = text
-                outcome.warm_hits += 1
-                if bus is not None:
-                    bus.emit("cache-hit", idx=i, cell=labels[i])
-            else:
-                miss_idx.append(i)
-        if bus is not None:
-            bus.emit("phase", name="probe", wall_s=_now() - probe_t0)
+        # The warm fast path.  Nothing below the probe runs for a
+        # fully-warm batch — no flights, no preflight, no pool.
+        payloads, miss_idx = self._probe(cells, keys, labels, fresh)
+        texts = [None if p is None else json.dumps(p) for p in payloads]
+        outcome.warm_hits = n - len(miss_idx)
         outcome.misses = len(miss_idx)
 
         if miss_idx:
@@ -322,78 +288,24 @@ class CellScheduler:
         joiners block out FLIGHT_TIMEOUT_S and every future request
         joins the dead flight instead of leading a new one.
         """
-        bus = self.bus
-        idxs = [i for i, _f in led]
-        flights = {i: f for i, f in led}
-
-        def _fail_all(err: BaseException) -> None:
-            for i in idxs:
-                if not flights[i].event.is_set():
-                    self._flights.finish(flights[i], error=err)
-
         try:
-            t0 = _now()
-            if self.preflight:
-                from repro.check.preflight import preflight_cells
-
-                try:
-                    preflight_cells([cells[i] for i in idxs])
-                except CheckError as e:
-                    self.counters.add(preflight_rejected=len(idxs),
-                                      errors=1)
-                    if bus is not None:
-                        bus.emit("cell-end", idx=-1, cell="preflight",
-                                 wall_s=_now() - t0, fastpath={},
-                                 rejected=len(idxs),
-                                 check=getattr(e, "check", "")
-                                 or "preflight")
-                    raise
-            if bus is not None:
-                bus.emit("phase", name="preflight", wall_s=_now() - t0)
-
-            t0 = _now()
-            outcomes = self._execute([(i, cells[i], labels[i], t0)
-                                      for i in idxs])
-            if bus is not None:
-                bus.emit("phase", name="execute", wall_s=_now() - t0)
-
-            payloads = {i: json.loads(text)
-                        for i, (text, _meta) in zip(idxs, outcomes)}
-
-            t0 = _now()
-            if self.oracle:
-                from repro.model.oracle import oracle_cells
-
-                try:
-                    oracle_cells(
-                        [cells[i] for i in idxs],
-                        [runner_for(cells[i].kind).decode(payloads[i])
-                         for i in idxs])
-                except CheckError:
-                    self.counters.add(oracle_failed=len(idxs), errors=1)
-                    raise
-            if bus is not None:
-                bus.emit("phase", name="oracle", wall_s=_now() - t0)
-
-            # Publish strictly after the oracle accepts.  The warm
-            # path (and any concurrent request probing the store)
-            # skips the oracle, so a rejected result must never reach
-            # the store — not even transiently between a publish and a
-            # later discard.
-            t0 = _now()
-            for i in idxs:
-                self.store.publish(cells[i], keys[i], payloads[i])
-            if bus is not None:
-                bus.emit("phase", name="store", wall_s=_now() - t0)
-
-            for i, (text, _meta) in zip(idxs, outcomes):
-                self._flights.finish(flights[i], text=text)
+            computed = self._compute(cells, keys, labels,
+                                     [i for i, _f in led])
+            for (_i, flight), (text, _meta, _result) in zip(led, computed):
+                self._flights.finish(flight, text=text)
         except BaseException as e:
-            _fail_all(e)
+            for _i, flight in led:
+                if not flight.event.is_set():
+                    self._flights.finish(flight, error=e)
             raise
 
-    def _execute(self, tasks: List[Tuple[int, SweepCell, str, float]],
-                 ) -> List[Tuple[str, dict]]:
+    def _rejected(self, stage: str, err: CheckError, n: int) -> None:
+        if stage == "oracle":
+            self.counters.add(oracle_failed=n, errors=1)
+        else:
+            self.counters.add(preflight_rejected=n, errors=1)
+
+    def _execute(self, tasks: List[Task]) -> List[Tuple[str, dict]]:
         """Shard led cells across the persistent pool, in order."""
         pool = self._ensure_pool()
         pending = []
@@ -412,11 +324,13 @@ class CellScheduler:
             "pid": os.getpid(),
             "jobs": self.jobs,
             "pool_live": self._pool is not None,
-            "preflight": self.preflight,
-            "oracle": self.oracle,
-            "cache": self.store.describe(),
-            "telemetry": ({"log": self.bus.path, "run": self.bus.run_id}
-                          if self.bus is not None else None),
+            "check": self.check,
+            "cache": ({"enabled": True, "dir": str(self.cache.root),
+                       "objects": len(self.cache)}
+                      if self.cache is not None else {"enabled": False}),
+            "telemetry": ({"log": self.telemetry.path,
+                           "run": self.telemetry.run_id}
+                          if self.telemetry is not None else None),
             "in_flight": self._flights.in_flight(),
             "counters": self.counters.snapshot(),
         }

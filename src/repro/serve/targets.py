@@ -1,20 +1,17 @@
-"""Sweep-target resolution shared by the daemon and (logically) the CLI.
+"""Sweep-target resolution shared by the daemon and the CLI.
 
 A *target* names one of the paper's artifacts — ``fig1`` (optionally a
 subset of its streams), ``fig2`` (one panel at one ILP level), ``app``
 (one application at one size), ``table1`` — or a raw list of cell
 specs.  :func:`resolve_target` turns the request parameters into a
-:class:`ResolvedTarget`: the exact cells the CLI driver would
-enumerate, the exact assembly step it would apply, and the exact
-report builder it would call.  Because both front ends flow through
-the same enumeration and assembly code (``fig1_cells``,
-``coexec_cells``/``assemble_coexec``, ``app_cells``, ``table1_cells``)
-and the same ``build_report``, a served manifest is byte-identical to
-the CLI's volatile-stripped report *by construction* — there is no
-second code path to drift.
+:class:`ResolvedTarget`: the cells to run, the assembly step that turns
+their results into report rows, and the report builder.  The CLI
+figure verbs and the daemon both resolve their targets here, so a
+served manifest is byte-identical to the CLI's volatile-stripped
+report *by construction* — there is no second code path to drift.
 
 Parameter problems raise :class:`ConfigError`, which the HTTP layer
-maps to a 400 response.
+maps to a 400 response and the CLI to exit status 2.
 """
 
 from __future__ import annotations
@@ -42,13 +39,18 @@ TARGETS = ("fig1", "fig2", "app", "table1")
 
 @dataclass(frozen=True)
 class ResolvedTarget:
-    """One request, resolved to the CLI driver's own building blocks."""
+    """One request, resolved to cells, assembly and report.
+
+    ``report(rows, sweep=..., telemetry=...)`` builds the full manifest;
+    the optional keywords pass the volatile ``sweep`` and ``telemetry``
+    sections through to :func:`build_report`.
+    """
 
     name: str                               # canonical target label
     kind: str                               # report kind (e.g. "fig2a")
     cells: Tuple[SweepCell, ...]            # cells, in driver order
     assemble: Callable[[List[Any]], Any]    # decoded results -> rows
-    report: Callable[[Any], dict]           # rows -> full manifest dict
+    report: Callable[..., dict]             # rows -> full manifest dict
 
 
 def manifest_bytes(report: dict) -> bytes:
@@ -103,10 +105,10 @@ def _resolve_fig1(params: Dict[str, Any]) -> ResolvedTarget:
                if streams is not None else FIG1_STREAMS)
     cells = tuple(fig1_cells(streams))
 
-    def report(results):
+    def report(results, **volatile):
         return build_report("fig1", results, core_config=CoreConfig(),
                             mem_config=MemConfig(),
-                            model=fig1_model_section(results))
+                            model=fig1_model_section(results), **volatile)
 
     return ResolvedTarget(name="fig1", kind="fig1", cells=cells,
                           assemble=lambda results: results, report=report)
@@ -119,13 +121,13 @@ def _resolve_fig2(params: Dict[str, Any]) -> ResolvedTarget:
     ilp = _ilp_of(params)
     cells, pairs, solos = coexec_cells(fig2_panel_pairs(panel), ilp=ilp)
 
-    def report(results):
+    def report(results, **volatile):
         return build_report(f"fig2{panel}", results,
                             core_config=CoreConfig(),
                             mem_config=MemConfig(),
                             model=fig2_model_section(results),
                             extra={"panel": panel,
-                                   "ilp": ilp.name.lower()})
+                                   "ilp": ilp.name.lower()}, **volatile)
 
     return ResolvedTarget(
         name=f"fig2{panel}", kind=f"fig2{panel}", cells=tuple(cells),
@@ -140,11 +142,11 @@ def _resolve_app(params: Dict[str, Any]) -> ResolvedTarget:
     size_d = app_size_dict(name, params.get("size"))
     cells = tuple(app_cells(name, sizes=[size_d]))
 
-    def report(results):
+    def report(results, **volatile):
         return build_report(f"app-{name}", results,
                             core_config=CoreConfig(),
                             mem_config=MemConfig(),
-                            extra={"size": size_d})
+                            extra={"size": size_d}, **volatile)
 
     return ResolvedTarget(name=f"app-{name}", kind=f"app-{name}",
                           cells=cells,
@@ -154,9 +156,9 @@ def _resolve_app(params: Dict[str, Any]) -> ResolvedTarget:
 def _resolve_table1(params: Dict[str, Any]) -> ResolvedTarget:
     cells = tuple(table1_cells())
 
-    def report(results):
+    def report(results, **volatile):
         return build_report("table1", results, core_config=CoreConfig(),
-                            mem_config=MemConfig())
+                            mem_config=MemConfig(), **volatile)
 
     return ResolvedTarget(name="table1", kind="table1", cells=cells,
                           assemble=lambda results: results, report=report)

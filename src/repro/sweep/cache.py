@@ -8,6 +8,8 @@ entry; re-running the sweep resumes from whatever completed.
 
 Corrupt or unreadable entries are never fatal: ``get`` warns and
 reports a miss, and the engine recomputes and overwrites the entry.
+Only results that passed the sweep checks are ever written (see
+:mod:`repro.sweep.engine`).
 """
 
 from __future__ import annotations
@@ -101,23 +103,6 @@ class ResultCache:
                     os.unlink(tmp)
         except OSError as e:
             warnings.warn(f"cannot write sweep-cache entry {path}: {e}",
-                          RuntimeWarning, stacklevel=2)
-
-    def discard(self, key: str) -> None:
-        """Remove ``key``'s entry if present (idempotent).
-
-        Used by the serve scheduler when the model oracle rejects a
-        result *after* it was stored: a provably-out-of-bounds entry
-        must not survive to be served from the warm path, which
-        deliberately skips the oracle.
-        """
-        try:
-            os.unlink(self._path(key))
-        except FileNotFoundError:
-            pass
-        except OSError as e:
-            warnings.warn(f"cannot discard sweep-cache entry "
-                          f"{self._path(key)}: {e}",
                           RuntimeWarning, stacklevel=2)
 
     def __len__(self) -> int:

@@ -51,6 +51,7 @@ class SweepCell:
         from repro.check.recurrence import RECURRENCE_SCHEMA_VERSION
         from repro.cpu.config import CoreConfig
         from repro.mem.config import MemConfig
+        from repro.model.bounds import MODEL_SCHEMA_VERSION
 
         core = self.core_config if self.core_config is not None else CoreConfig()
         mem = self.mem_config if self.mem_config is not None else MemConfig()
@@ -61,6 +62,9 @@ class SweepCell:
             "cache_schema_version": CACHE_SCHEMA_VERSION,
             "fastpath_schema_version": FASTPATH_SCHEMA_VERSION,
             "recurrence_schema_version": RECURRENCE_SCHEMA_VERSION,
+            # Warm hits skip the oracle, so a model change must
+            # invalidate every entry it vouched for.
+            "model_schema_version": MODEL_SCHEMA_VERSION,
             "repro_version": __version__,
         }
         if self.kind == "app-run":

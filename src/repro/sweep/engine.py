@@ -1,30 +1,44 @@
-"""The sweep engine: fan cells out, collect results in order, memoize.
+"""The cell pipeline: probe, preflight, execute, oracle, publish.
 
-The engine is the single execution path for every figure/table sweep:
+Every cell either front end asks for — a CLI sweep
+(:class:`SweepEngine`) or a daemon request
+(:class:`repro.serve.scheduler.CellScheduler`) — takes the same path,
+implemented once in :class:`CellPipeline`:
 
-1. each cell's content hash is looked up in the :class:`ResultCache`
-   (unless caching is off or ``fresh`` forces recomputation);
-2. the missing cells are executed — in-process when ``jobs == 1``
-   (exactly the old serial behaviour), or across a ``multiprocessing``
-   pool otherwise; ``pool.map`` preserves submission order, so result
-   collection is deterministic regardless of completion order;
-3. every result, fresh or cached, is round-tripped through the same
-   canonical JSON encoding before being handed back, so serial,
-   parallel and warm-cache runs of the same sweep produce
-   byte-identical reports (modulo wall-time fields).
+1. **probe** — one :meth:`ResultCache.get` per cell (unless caching is
+   off or ``fresh`` forces recomputation).  A hit is returned as
+   stored, without re-running any check;
+2. **preflight** — the static checks (:func:`repro.check.preflight_cells`)
+   over the cells that missed;
+3. **execute** — the front end's executor runs the misses (the engine:
+   in-process when ``jobs == 1``, else a per-run ``multiprocessing``
+   pool whose ``map`` preserves submission order);
+4. **oracle** — the differential model oracle
+   (:func:`repro.model.oracle_cells`) over the fresh results;
+5. **publish** — the fresh results go to the cache.
 
-Workers execute :func:`_execute_cell`, a module-level function, so the
-only thing pickled per task is the (small, self-contained) cell.
+One rule makes the warm path sound: **a result is checked once, before
+it is published, and the store holds only checked results.**  With
+``check`` off (``--no-check``) the pipeline still reads checked
+entries but never publishes, so an unchecked result can never be served
+as a trusted one later.
+
+Every result, fresh or cached, is round-tripped through the same
+canonical JSON encoding before being handed back, so serial, parallel
+and warm-cache runs of the same sweep produce byte-identical reports
+(modulo wall-time fields).  Workers execute :func:`_execute_cell`, a
+module-level function, so the only thing pickled per task is the
+(small, self-contained) cell.
 
 Telemetry (:mod:`repro.telemetry`) rides along as a pure observer:
-when the engine carries a bus, the parent emits sweep/phase/cache
-events and every worker emits per-cell begin/end spans (with the
-cell's fastpath counter deltas) to the same JSONL log.  Workers also
-return a small metadata record next to each result text; the parent
-folds those into :class:`SweepStats` regardless of whether a bus is
-attached.  Nothing telemetry-derived may influence results, cache
-entries, or non-volatile report bytes — the equivalence suite holds
-reports byte-identical with telemetry on vs off.
+when a bus is attached, the parent emits sweep/phase/cache events and
+every worker emits per-cell begin/end spans (with the cell's fastpath
+counter deltas) to the same JSONL log.  Workers also return a small
+metadata record next to each result text; the engine folds those into
+:class:`SweepStats` regardless of whether a bus is attached.  Nothing
+telemetry-derived may influence results, cache entries, or
+non-volatile report bytes — the equivalence suite holds reports
+byte-identical with telemetry on vs off.
 """
 
 from __future__ import annotations
@@ -47,6 +61,10 @@ from repro.telemetry.bus import now as _now
 #: The executing side's bus — the parent's during serial execution,
 #: a per-process reconstruction in pool workers (set by _pool_init).
 _worker_bus: Optional[TelemetryBus] = None
+
+
+#: One execution task: (batch index, cell, label, enqueue timestamp).
+Task = Tuple[int, SweepCell, str, float]
 
 
 def _pool_init(fastpath_default: bool,
@@ -81,7 +99,7 @@ def _execute_cell(cell: SweepCell) -> str:
     return json.dumps(runner.encode(runner.run(cell)))
 
 
-def _execute_task(task: Tuple[int, SweepCell, str, float]) -> Tuple[str, dict]:
+def _execute_task(task: Task) -> Tuple[str, dict]:
     """Instrumented wrapper around :func:`_execute_cell`.
 
     Returns ``(text, meta)``: the result text is byte-identical to what
@@ -108,12 +126,145 @@ def _execute_task(task: Tuple[int, SweepCell, str, float]) -> Tuple[str, dict]:
     return text, meta
 
 
+def _new_pool(processes: int, bus: Optional[TelemetryBus]) -> Any:
+    """A worker pool carrying the parent's fast-forward default and
+    telemetry target (see :func:`_pool_init`)."""
+    # Fork keeps the parent's hash seed and registry state in the
+    # children; fall back to the platform default elsewhere.
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+    return ctx.Pool(processes=processes, initializer=_pool_init,
+                    initargs=(_fastpath.default_enabled(),
+                              bus.path if bus is not None else None,
+                              bus.run_id if bus is not None else None))
+
+
+class CellPipeline:
+    """Probe, preflight, execute, oracle, publish — for both front ends.
+
+    Subclasses provide :meth:`_execute` and may extend the accounting
+    hooks :meth:`_phase` and :meth:`_rejected`; the order of the stages
+    and the publish rule (see the module docstring) live here only.
+    """
+
+    cache: Optional[ResultCache]
+    check: bool
+    telemetry: Optional[TelemetryBus]
+
+    def _phase(self, name: str, wall: float) -> None:
+        if self.telemetry is not None:
+            self.telemetry.emit("phase", name=name, wall_s=wall)
+
+    def _rejected(self, stage: str, err: CheckError, n: int) -> None:
+        """Account ``n`` cells that failed ``stage`` (preflight/oracle)."""
+
+    def _execute(self, tasks: List[Task]) -> List[Tuple[str, dict]]:
+        raise NotImplementedError
+
+    def _probe(self, cells: Sequence[SweepCell], keys: List[str],
+               labels: List[str], fresh: bool,
+               ) -> Tuple[List[Optional[dict]], List[int]]:
+        """Look every cell up in the store.
+
+        Returns the stored result payloads (``None`` for a miss) and the
+        indices of the misses.  A hit is trusted as stored: only checked
+        results are ever published.
+        """
+        bus = self.telemetry
+        cache = None if fresh else self.cache
+        t0 = _now()
+        payloads: List[Optional[dict]] = [None] * len(cells)
+        misses: List[int] = []
+        for i, cell in enumerate(cells):
+            entry = cache.get(keys[i]) if cache is not None else None
+            if entry is not None and entry.get("kind") == cell.kind:
+                payloads[i] = entry["result"]
+                if bus is not None:
+                    bus.emit("cache-hit", idx=i, cell=labels[i])
+            else:
+                misses.append(i)
+        self._phase("probe", _now() - t0)
+        return payloads, misses
+
+    def _compute(self, cells: Sequence[SweepCell], keys: List[str],
+                 labels: List[str], idxs: List[int],
+                 ) -> List[Tuple[str, dict, Any]]:
+        """Preflight, execute, oracle-check and publish ``cells[idxs]``.
+
+        Returns ``(text, meta, result)`` per cell, in ``idxs`` order.  A
+        :class:`CheckError` from either gate is counted through
+        :meth:`_rejected` and re-raised before anything is published.
+        """
+        bus = self.telemetry
+        batch = [cells[i] for i in idxs]
+        t0 = _now()
+        if self.check and batch:
+            from repro.check.preflight import preflight_cells
+
+            try:
+                preflight_cells(batch)
+            except CheckError as e:
+                self._rejected("preflight", e, len(batch))
+                if bus is not None:
+                    # Synthetic terminal event so the live view shows
+                    # *why* the sweep died: no cell simulated (empty
+                    # fastpath delta), idx -1, and the rejecting pass
+                    # riding along as extra fields.
+                    bus.emit("cell-end", idx=-1, cell="preflight",
+                             wall_s=_now() - t0, fastpath={},
+                             rejected=len(batch),
+                             check=getattr(e, "check", "") or "preflight")
+                raise
+        self._phase("preflight", _now() - t0)
+
+        t0 = _now()
+        if bus is not None:
+            for i in idxs:
+                bus.emit("enqueue", idx=i, cell=labels[i])
+        outcomes = self._execute([(i, cells[i], labels[i], t0)
+                                  for i in idxs])
+        self._phase("execute", _now() - t0)
+        payloads = [json.loads(text) for text, _meta in outcomes]
+        results = [runner_for(cell.kind).decode(payload)
+                   for cell, payload in zip(batch, payloads)]
+
+        t0 = _now()
+        if self.check and batch:
+            # Differential oracle: every simulated result must sit
+            # inside the CPI interval the analytic model proves for its
+            # cell — raises ModelViolation if not.
+            from repro.model.oracle import oracle_cells
+
+            try:
+                oracle_cells(batch, results)
+            except CheckError as e:
+                self._rejected("oracle", e, len(batch))
+                raise
+        self._phase("oracle", _now() - t0)
+
+        # Publish only what both gates passed: warm hits, in either
+        # front end, are served without re-checking.
+        t0 = _now()
+        if self.check and self.cache is not None:
+            for i, cell, payload in zip(idxs, batch, payloads):
+                self.cache.put(keys[i], {
+                    "cache_schema_version": CACHE_SCHEMA_VERSION,
+                    "repro_version": __version__,
+                    "kind": cell.kind,
+                    "config": cell.config,
+                    "result": payload,
+                })
+        self._phase("store", _now() - t0)
+        return [(text, meta, result)
+                for (text, meta), result in zip(outcomes, results)]
+
+
 @dataclass
 class SweepStats:
     """Cache/parallelism accounting for one engine's sweeps.
 
-    Hit/miss/cell totals count *measurements that stand*: a batch that
-    fails preflight or the model oracle is recorded under
+    Hit/miss/cell totals count *measurements that stand*: the cells of
+    a batch that fail preflight or the model oracle are recorded under
     ``preflight_rejected``/``oracle_failed`` instead — a rejected cell
     is not a cache outcome, and an oracle-violating batch produced no
     trustworthy results to account hits against.  A batch killed
@@ -166,8 +317,9 @@ class SweepStats:
 
 
 @dataclass
-class SweepEngine:
-    """Executes cell lists with optional parallelism and memoization.
+class SweepEngine(CellPipeline):
+    """Runs cell lists synchronously with optional parallelism and
+    memoization.
 
     ``jobs=1`` with no cache reproduces the pre-engine serial
     behaviour exactly.  One engine instance accumulates stats across
@@ -177,8 +329,7 @@ class SweepEngine:
     jobs: int = 1
     cache: Optional[ResultCache] = None
     fresh: bool = False
-    preflight: bool = True
-    oracle: bool = True
+    check: bool = True
     telemetry: Optional[TelemetryBus] = None
     stats: SweepStats = field(init=False)
 
@@ -195,18 +346,26 @@ class SweepEngine:
     def _phase(self, name: str, wall: float) -> None:
         self.stats.phase_wall_s[name] = (
             self.stats.phase_wall_s.get(name, 0.0) + wall)
-        if self.telemetry is not None:
-            self.telemetry.emit("phase", name=name, wall_s=wall)
+        super()._phase(name, wall)
+
+    def _rejected(self, stage: str, err: CheckError, n: int) -> None:
+        if stage == "oracle":
+            self.stats.oracle_failed += n
+        elif getattr(err, "check", "") == "compose":
+            self.stats.pair_cert_rejected += n
+        else:
+            self.stats.preflight_rejected += n
 
     def run(self, cells: Sequence[SweepCell]) -> List[Any]:
         """Execute ``cells``; return their results in submission order.
 
-        Unless ``preflight`` is off, every cell is statically analyzed
-        first (:func:`repro.check.preflight_cells`) — a cell whose
-        stream recipe or workload fingerprint is stale, whose stream
-        fails the hazard/unit passes, or whose workload races, raises
+        Cache hits come back as stored.  Unless ``check`` is off, every
+        miss is statically analyzed first — a cell whose stream recipe
+        or workload fingerprint is stale, whose stream fails the
+        hazard/unit passes, or whose workload races, raises
         :class:`~repro.common.errors.CheckError` before anything is
-        simulated or cached.
+        simulated — and its fresh result must pass the model oracle
+        before it is cached.
         """
         bus = self.telemetry
         stats = self.stats
@@ -215,90 +374,20 @@ class SweepEngine:
         if bus is not None:
             bus.emit("sweep-begin", cells=n, jobs=self.jobs,
                      cache_enabled=self.cache is not None)
-        t0 = _now()
-        if self.preflight and cells:
-            from repro.check.preflight import preflight_cells
-
-            try:
-                preflight_cells(cells)
-            except CheckError as e:
-                if getattr(e, "check", "") == "compose":
-                    stats.pair_cert_rejected += n
-                else:
-                    stats.preflight_rejected += n
-                if bus is not None:
-                    # Synthetic terminal event so the live view shows
-                    # *why* the sweep died: no cell simulated (empty
-                    # fastpath delta), idx -1, and the rejecting pass
-                    # riding along as extra fields.
-                    bus.emit("cell-end", idx=-1, cell="preflight",
-                             wall_s=_now() - t0, fastpath={},
-                             rejected=n,
-                             check=getattr(e, "check", "") or "preflight")
-                raise
-        self._phase("preflight", _now() - t0)
-        results: List[Any] = [None] * n
         keys = ([cell.key() for cell in cells]
                 if self.cache is not None else [""] * n)
         labels = [cell_label(cell) for cell in cells]
-
-        t0 = _now()
-        hits = 0
-        miss_idx: List[int] = []
-        for i, cell in enumerate(cells):
-            entry = None
-            if self.cache is not None and not self.fresh:
-                entry = self.cache.get(keys[i])
-                if entry is not None and entry.get("kind") != cell.kind:
-                    entry = None
-            if entry is not None:
-                results[i] = runner_for(cell.kind).decode(entry["result"])
-                hits += 1
-                if bus is not None:
-                    bus.emit("cache-hit", idx=i, cell=labels[i])
-            else:
-                miss_idx.append(i)
-                if bus is not None:
-                    bus.emit("enqueue", idx=i, cell=labels[i])
-        self._phase("probe", _now() - t0)
-
-        t0 = _now()
-        outcomes = self._execute([(i, cells[i], labels[i], t0)
-                                  for i in miss_idx])
-        self._phase("execute", _now() - t0)
-
-        t0 = _now()
-        misses = 0
-        for i, (text, meta) in zip(miss_idx, outcomes):
-            payload = json.loads(text)
-            if self.cache is not None:
-                self.cache.put(keys[i], {
-                    "cache_schema_version": CACHE_SCHEMA_VERSION,
-                    "repro_version": __version__,
-                    "kind": cells[i].kind,
-                    "config": cells[i].config,
-                    "result": payload,
-                })
-            results[i] = runner_for(cells[i].kind).decode(payload)
-            misses += 1
+        payloads, miss_idx = self._probe(cells, keys, labels, self.fresh)
+        results = [None if payload is None
+                   else runner_for(cell.kind).decode(payload)
+                   for cell, payload in zip(cells, payloads)]
+        computed = self._compute(cells, keys, labels, miss_idx)
+        for i, (_text, meta, result) in zip(miss_idx, computed):
+            results[i] = result
             _fastpath.merge_stats(stats.fastpath, meta["fastpath"])
-        self._phase("store", _now() - t0)
-
-        t0 = _now()
-        if self.oracle and cells:
-            # Differential oracle: every simulated (or cache-replayed)
-            # result must sit inside the CPI interval the analytic
-            # model proves for its cell — raises ModelViolation if not.
-            from repro.model.oracle import oracle_cells
-
-            try:
-                oracle_cells(cells, results)
-            except CheckError:
-                stats.oracle_failed += n
-                raise
-        self._phase("oracle", _now() - t0)
 
         # Commit the accounting only for batches whose results stand.
+        hits, misses = n - len(miss_idx), len(miss_idx)
         stats.cells += n
         stats.hits += hits
         stats.misses += misses
@@ -307,9 +396,7 @@ class SweepEngine:
                      wall_s=_now() - run_t0)
         return results
 
-    def _execute(
-        self, tasks: List[Tuple[int, SweepCell, str, float]],
-    ) -> List[Tuple[str, dict]]:
+    def _execute(self, tasks: List[Task]) -> List[Tuple[str, dict]]:
         if self.jobs == 1 or len(tasks) < 2:
             # Serial execution happens in-process: point the worker-side
             # bus at the engine's own for the duration.
@@ -320,16 +407,5 @@ class SweepEngine:
                 return [_execute_task(t) for t in tasks]
             finally:
                 _worker_bus = prev
-        # Fork keeps the parent's hash seed and registry state in the
-        # children; fall back to the platform default elsewhere.
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else None)
-        from repro.cpu.fastpath import default_enabled
-
-        tel_path = self.telemetry.path if self.telemetry is not None else None
-        run_id = self.telemetry.run_id if self.telemetry is not None else None
-        with ctx.Pool(processes=min(self.jobs, len(tasks)),
-                      initializer=_pool_init,
-                      initargs=(default_enabled(), tel_path, run_id)) as pool:
+        with _new_pool(min(self.jobs, len(tasks)), self.telemetry) as pool:
             return pool.map(_execute_task, tasks)

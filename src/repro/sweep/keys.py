@@ -28,9 +28,14 @@ import json
 import math
 from typing import Any
 
-#: Bumped on any change to the canonicalisation rules or to the layout
-#: of cached entries; old entries then miss and are recomputed.
-CACHE_SCHEMA_VERSION = 1
+#: Bumped on any change to the canonicalisation rules, to the layout
+#: of cached entries, or to what an entry guarantees; old entries then
+#: miss and are recomputed.
+#: v2: only results that passed preflight and the model oracle are
+#: stored, and warm hits are served without re-checking.  v1 stores may
+#: hold unchecked entries (``--no-check`` runs, and CLI results stored
+#: before the oracle ran), so none of them may be read.
+CACHE_SCHEMA_VERSION = 2
 
 #: Version of the steady-state fast-forward machinery
 #: (:mod:`repro.cpu.fastpath`).  The fast-forward is results-neutral by

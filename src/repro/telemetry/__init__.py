@@ -1,7 +1,7 @@
 """repro.telemetry — structured run telemetry for sweeps and workers.
 
 The sweep engine, its multiprocessing workers, and the CLI publish the
-full cell lifecycle — enqueue → cache probe → dispatch → simulate
+full cell lifecycle — cache probe → preflight → enqueue → simulate
 (with fastpath counters) → oracle → store — as a versioned JSONL event
 stream (:mod:`repro.telemetry.bus`).  :mod:`repro.telemetry.collect`
 turns a recorded stream into per-phase/per-worker summaries, and

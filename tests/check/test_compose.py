@@ -21,12 +21,11 @@ from repro.check.compose import (
     _stream_trace,
     compose_findings,
     compose_pair,
-    fig2_pairs,
     pair_cert_fingerprint,
     pair_inventory,
 )
 from repro.check.findings import Severity
-from repro.core.coexec import run_pair_cpis
+from repro.core.coexec import fig2_pairs, run_pair_cpis
 from repro.cpu import fastpath as _fastpath
 from repro.isa.streams import ILP
 

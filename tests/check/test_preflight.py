@@ -102,15 +102,15 @@ class TestEnginePreflight:
 
     def test_preflight_off_skips_the_gate(self, tmp_path):
         """--no-check: the tampered recipe is a key ingredient only, so
-        the cell simulates fine with pre-flight disabled."""
+        the cell simulates fine with pre-flight disabled — and the
+        unchecked result is never published to the cache."""
         cache_dir = tmp_path / "cache"
-        engine = SweepEngine(cache=ResultCache(cache_dir),
-                             preflight=False)
+        engine = SweepEngine(cache=ResultCache(cache_dir), check=False)
         cell = stream_cell("iadd", ILP.MAX, threads=1)
         cell.config["recipe"] = {"ops": ["FADD"], "stride": 1}
         results = engine.run([cell])
         assert len(results) == 1
-        assert len(cache_entries(cache_dir)) == 1
+        assert len(cache_entries(cache_dir)) == 0
 
     def test_empty_cell_list_is_fine(self):
         assert SweepEngine().run([]) == []

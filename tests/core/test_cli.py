@@ -127,6 +127,23 @@ class TestCLISweepFlags:
         assert warm["sweep"]["cache_hits"] == warm["sweep"]["cells"]
         assert warm["sweep"]["cache_misses"] == 0
 
+    def test_no_check_results_are_never_cached(self, tmp_path, capsys):
+        """--no-check reads checked entries but never publishes, so an
+        unchecked result can never come back later as a trusted hit."""
+        cache = tmp_path / "cache"
+        args = ["fig1", "--streams", "iadd", "--cache-dir", str(cache),
+                "--json"]
+        assert main(args + ["--no-check"]) == 0
+        unchecked = json.loads(capsys.readouterr().out)
+        assert unchecked["sweep"]["cache_misses"] == 6
+        assert list((cache / "objects").rglob("*.json")) == []
+
+        assert main(args) == 0
+        checked = json.loads(capsys.readouterr().out)
+        assert checked["sweep"]["cache_hits"] == 0
+        assert checked["sweep"]["cache_misses"] == 6
+        assert len(list((cache / "objects").rglob("*.json"))) == 6
+
     def test_no_cache_reports_disabled(self, capsys):
         assert main(["table1", "--no-cache", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)

@@ -88,10 +88,10 @@ class TestEngineHook:
 
     def test_oracle_off_skips_validation(self, monkeypatch):
         def boom(cells, results):
-            raise AssertionError("oracle ran despite oracle=False")
+            raise AssertionError("oracle ran despite check=False")
 
         monkeypatch.setattr("repro.model.oracle.oracle_cells", boom)
-        engine = SweepEngine(jobs=1, oracle=False)
+        engine = SweepEngine(jobs=1, check=False)
         engine.run([stream_cell("iadd", ILP.MAX, 1, horizon_ticks=20_000)])
 
     def test_mistimed_optiming_fixture_is_caught(self, monkeypatch):
@@ -110,7 +110,7 @@ class TestEngineHook:
 
         monkeypatch.setattr(engine_mod, "_execute_cell",
                             ignore_declared_config)
-        engine = SweepEngine(jobs=1, preflight=False)
+        engine = SweepEngine(jobs=1)
         cell = stream_cell("fadd", ILP.MIN, 1, horizon_ticks=40_000,
                            core_config=slow_cfg)
         with pytest.raises(ModelViolation, match="below lower"):

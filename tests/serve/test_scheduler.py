@@ -149,14 +149,14 @@ class TestOracleRejection:
 
         cells = _cells(names=("iadd",))
         s = _scheduler(tmp_path)
-        assert s.store.cache is not None
+        assert s.cache is not None
         seen_in_store = []
 
         def failing_oracle(cells_, results_):
             # Snapshot the store from *inside* the oracle: this is the
             # widest point of the old publish-then-discard window.
             seen_in_store.append(
-                [s.store.cache.get(c.key()) for c in cells])
+                [s.cache.get(c.key()) for c in cells])
             raise CheckError("model bound violated (injected)")
 
         monkeypatch.setattr(oracle_mod, "oracle_cells", failing_oracle)
@@ -169,7 +169,7 @@ class TestOracleRejection:
             # Nothing was published while the oracle deliberated, and
             # nothing is in the store after the rejection.
             assert seen_in_store == [[None] * len(cells)]
-            assert all(s.store.cache.get(c.key()) is None for c in cells)
+            assert all(s.cache.get(c.key()) is None for c in cells)
         finally:
             s.close()
 
@@ -182,6 +182,42 @@ class TestOracleRejection:
             assert outcome.warm_hits == 0
         finally:
             s2.close()
+
+
+class TestEngineOracleRejection:
+    def test_cli_rejected_result_is_never_warm_served(self, tmp_path,
+                                                      monkeypatch):
+        """The engine-side twin of TestOracleRejection.  The CLI engine
+        and the daemon share one store, and the daemon serves warm hits
+        without re-checking them — so a result the oracle rejected in a
+        CLI sweep must never reach the store, or the daemon would later
+        serve it as trusted."""
+        import repro.model.oracle as oracle_mod
+
+        cells = _cells(names=("iadd",))
+        cache = ResultCache(tmp_path / "cache")
+        seen_in_store = []
+
+        def failing_oracle(cells_, results_):
+            seen_in_store.append([cache.get(c.key()) for c in cells])
+            raise CheckError("model bound violated (injected)")
+
+        monkeypatch.setattr(oracle_mod, "oracle_cells", failing_oracle)
+        engine = SweepEngine(cache=cache)
+        with pytest.raises(CheckError):
+            engine.run(cells)
+        assert engine.stats.oracle_failed == len(cells)
+        assert seen_in_store == [[None] * len(cells)]
+        assert all(cache.get(c.key()) is None for c in cells)
+
+        monkeypatch.undo()
+        s = _scheduler(tmp_path)
+        try:
+            _texts, outcome = s.fetch(cells)
+            assert outcome.warm_hits == 0
+            assert outcome.led == len(cells)
+        finally:
+            s.close()
 
 
 class TestLeaderFailureLandsFlights:

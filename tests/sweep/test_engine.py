@@ -131,7 +131,7 @@ class TestStatsAccounting:
     rides along on every run."""
 
     def test_phase_wall_covers_the_whole_lifecycle(self):
-        engine = SweepEngine(preflight=False, oracle=False)
+        engine = SweepEngine(check=False)
         engine.run(_cells()[:2])
         assert set(engine.stats.phase_wall_s) == {
             "preflight", "probe", "execute", "store", "oracle"}
@@ -142,7 +142,7 @@ class TestStatsAccounting:
         assert engine.stats.phase_wall_s["execute"] >= before
 
     def test_fastpath_counters_merged_per_simulated_cell(self):
-        engine = SweepEngine(preflight=False, oracle=False)
+        engine = SweepEngine(check=False)
         engine.run(_cells()[:3])
         fp = engine.stats.fastpath
         assert fp["runs"] == 3
@@ -213,14 +213,14 @@ class TestStatsAccounting:
             raise CheckError("violated by test")
 
         monkeypatch.setattr("repro.model.oracle.oracle_cells", boom)
-        engine = SweepEngine(preflight=False)
+        engine = SweepEngine()
         with pytest.raises(CheckError):
             engine.run(_cells()[:2])
         assert engine.stats.oracle_failed == 2
         assert engine.stats.cells == 0
 
     def test_to_dict_carries_the_new_fields(self):
-        engine = SweepEngine(preflight=False, oracle=False)
+        engine = SweepEngine(check=False)
         engine.run(_cells()[:1])
         snap = engine.stats.to_dict()
         assert snap["preflight_rejected"] == 0
