@@ -11,13 +11,12 @@ fast-forward's exactness contract), so the timings always describe
 equivalent work.  Sweeps run through a serial engine with preflight,
 oracle and cache off, so the A/B times measure the simulator itself.
 
-A second app section (``apps_certified``) A/Bs certificate-guided
-capture against pure dynamic detection with the fast-forward on in
-both arms — what the static recurrence certificates
-(:mod:`repro.check.recurrence`) buy on top of the detector, again at
-asserted-equal results.  A third section (``pairs_certified``) does
-the same for dual-stream cells: pair-certificate-guided joint capture
-(:mod:`repro.check.compose`) against dynamic super-period detection.
+A second section (``pairs_certified``) A/Bs pair-certificate-guided
+joint capture (:mod:`repro.check.compose`) against dynamic
+super-period detection for dual-stream cells, with the fast-forward on
+in both arms, again at asserted-equal results.  Tiled apps have no
+such A/B: they capture only where their recurrence certificate
+(:mod:`repro.check.recurrence`) says to, so there is no dynamic arm.
 
 ``--smoke`` reruns only the small ``quick`` section and fails (exit 1)
 if its speedup regressed more than 25% against the committed
@@ -193,71 +192,6 @@ def _apps():
     }
 
 
-def _run_app_on(app, size, certified):
-    """One fastpath-on app run, with or without build-time certificates.
-
-    Stripping ``attach_certificate`` leaves the runtime on pure dynamic
-    detection — the exact arm the certificate-guided capture replaced —
-    so the pair times what static certification buys at equal results.
-    """
-    import repro.check.recurrence as _rec
-    from repro.cpu import fastpath as _fastpath
-
-    orig = _rec.attach_certificate
-    if not certified:
-        _rec.attach_certificate = lambda trace, *a, **kw: trace
-    _fastpath.reset_stats()
-    try:
-        r = run_app_experiment(app, Variant.SERIAL, size, fastpath=True)
-    finally:
-        _rec.attach_certificate = orig
-    st = _fastpath.stats()
-    return (dataclasses.replace(r, wall_time_s=0.0),
-            {"coverage": round(st.coverage, 4), "jumps": st.jumps,
-             "cert_runs": st.cert_runs, "cert_jumps": st.cert_jumps,
-             "stand_downs": st.to_dict()["stand_downs"]})
-
-
-def _apps_certified():
-    """Certificate-guided vs dynamic-detection A/B (fastpath on both).
-
-    ``speedup`` is dynamic-arm seconds over certified-arm seconds: what
-    the static recurrence certificates buy on top of the detector —
-    capture where the lattice proves alignment, skip detection where it
-    proves futility — at byte-identical results.
-    """
-    per_app = {}
-    for app, size in APP_CELLS:
-        t0 = time.perf_counter()    # check: allow(wall-clock)
-        r_dyn, c_dyn = _run_app_on(app, size, certified=False)
-        sec_dyn = time.perf_counter() - t0  # check: allow(wall-clock)
-        t0 = time.perf_counter()    # check: allow(wall-clock)
-        r_cert, c_cert = _run_app_on(app, size, certified=True)
-        sec_cert = time.perf_counter() - t0  # check: allow(wall-clock)
-        if r_dyn != r_cert:
-            raise AssertionError(
-                "certification changed results; refusing to record "
-                "timings for inequivalent work")
-        per_app[app] = {
-            "seconds_dynamic": round(sec_dyn, 3),
-            "seconds_certified": round(sec_cert, 3),
-            "speedup": round(sec_dyn / sec_cert, 2),
-            "coverage_dynamic": c_dyn["coverage"],
-            "coverage_certified": c_cert["coverage"],
-            "cert_runs": c_cert["cert_runs"],
-            "cert_jumps": c_cert["cert_jumps"],
-            "stand_downs_certified": c_cert["stand_downs"],
-        }
-    sec_dyn = sum(c["seconds_dynamic"] for c in per_app.values())
-    sec_cert = sum(c["seconds_certified"] for c in per_app.values())
-    return {
-        "seconds_dynamic": round(sec_dyn, 3),
-        "seconds_certified": round(sec_cert, 3),
-        "speedup": round(sec_dyn / sec_cert, 2),
-        "per_app": per_app,
-    }
-
-
 def _run_pair_on(a, b, certified):
     """One fastpath-on pair run, with or without the pair certificate.
 
@@ -355,7 +289,6 @@ def main(argv=None) -> int:
         "fig2_pairs": _ab(_fig2),
         "fig2_mem": _ab(_fig2_mem),
         "apps": _apps(),
-        "apps_certified": _apps_certified(),
         "pairs_certified": _pairs_certified(),
     }
     # ``total_seconds`` is the ledger's trajectory metric and must keep

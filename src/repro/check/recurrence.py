@@ -53,9 +53,9 @@ The output is a versioned, machine-checkable
 from the trace it describes, so a stale or forged certificate is
 detected before anyone consumes it; ``fingerprint()`` (canonical-JSON
 SHA-256) keys sweep cache entries.  Certificates are *hints*: the
-runtime still proves every jump dynamically and falls back to the
-plain detector (stand-down reason ``cert-mismatch``) whenever reality
-disagrees — so a wrong certificate can cost time, never correctness
+runtime still proves every jump dynamically and stands the run down
+(stand-down reason ``cert-mismatch``) whenever reality disagrees — so
+a wrong certificate can cost time, never correctness
 (the seeded-defect suite kills certificates that could).
 """
 

@@ -17,9 +17,10 @@ full canonical-state equality implies signature equality, so nothing
 is lost by only *capturing* once a signature recurs.  The first
 recurrence at a plausible distance latches a candidate period and
 switches to the capture cadence: one full canonical capture per
-candidate period, compared against up to a few retained captures per
-fingerprint (older anchors catch super-periods — a tile row, a whole
-pass — that the newest capture alone would miss).
+candidate period, compared against the one capture retained per
+fingerprint (the newest).  Tiled runs skip the probing: they capture
+only at the phases their static recurrence certificate proves aligned
+(:mod:`repro.check.recurrence`).
 
 Exactness, not approximation
 ----------------------------
@@ -69,16 +70,17 @@ A memory-stream wrap (the wrap-around episode where the walk re-enters
 the bottom of its region and prefetch overshoot breaks the symmetry)
 is *spliced*: the detector sleeps through the episode — the wrap ticks
 are stepped exactly and land in the ledger like any others — and the
-proven capture cadence picks the orbit back up on the far side, so
-verification failures across a wrap never count toward futility.
+proven capture cadence picks the orbit back up on the far side.
 
 When it stands down
 -------------------
 The detector arms only when every thread's instruction source is a
 compiled or tiled trace (:mod:`repro.isa.trace`); tracers and
 profilers need every tick observed, so an enabled ``Tracer`` or an
-attached delinquency profiler disables it.  Captures abort
-conservatively on anything the canonical form cannot prove periodic:
+attached delinquency profiler disables it.  A run with a tiled thread
+arms only when every thread carries a ``recurrent`` certificate, and
+stands down when the certificate-guided captures never pair.  Captures
+abort conservatively on anything the canonical form cannot prove periodic:
 effect-bearing µops (sync vars, markers), live generator parts, or
 in-flight addresses a translation cannot follow.  ``--no-fastpath`` on
 the CLI forces the slow path for A/B comparison.
@@ -117,11 +119,14 @@ class FastpathStats:
       ``no-threads`` (a core run with no threads bound — defensive,
       the core rejects that earlier), ``probe-budget`` (signature
       probing never latched a period), ``capture-budget``,
-      ``futility``, ``horizon``, ``cert-none`` (a recurrence
+      ``aperiodic``, ``horizon``, ``cert-none`` (a recurrence
       certificate proves no phase distance recurs, so detection is
-      skipped outright), ``cert-mismatch`` (certificate-guided
-      capture never revisited a canonical state — the certificate is
-      wrong for this run; dynamic detection takes over);
+      skipped outright), ``cert-absent`` (a run with a tiled thread
+      where some thread has no certificate, or the certificates
+      disagree — tiled runs capture only where a certificate says
+      to), ``cert-mismatch`` (certificate-guided capture never
+      revisited a canonical state — the certificate is wrong for this
+      run, which stands down);
     * ``capture_aborts`` — boundary captures the canonical form
       rejected, attributed to the *first thread state that broke
       canonicalization*: ``effectful-op`` (sync vars/markers in
@@ -298,18 +303,6 @@ _STATE_CODE = {
 
 #: Fingerprint/signature table bound; cleared wholesale if exceeded.
 _MAX_ENTRIES = 4096
-#: Full captures retained per canonical fingerprint, newest first.
-#: Older anchors let a later capture match across a *super*-period
-#: (a tile row, a pass) that the newest anchor alone cannot see.
-_RETAIN = 4
-#: Failed verifications tolerated within one trace part before the
-#: detector stands down — but only while no period has been *proven*.
-#: Post-proof failures are wrap/tile-edge transients the proven cadence
-#: recovers from, and must not exhaust the run's patience.  Generous:
-#: a junk-fine latch on a stalled machine self-matches cheaply until
-#: the upgrade rule replaces it, and the exponential retry backoff
-#: already bounds the rate — the hard stop is the capture budget.
-_FUTILITY_LIMIT = 512
 #: Consecutive capture *aborts* (canonicalisation rejections — an
 #: effectful op in flight, an unmapped address, an off-ROB dependency)
 #: before the cell stands down attributing the dominant abort reason.
@@ -335,18 +328,8 @@ _SIG_BUDGET = 1 << 18
 #: longer period through a junk latch.
 _SIG_ENTRIES = 1 << 15
 #: Smallest signature-recurrence distance (ticks) accepted as a period
-#: candidate.  Raised past any candidate the watchdog rejects, so a
-#: signature collision at a non-period distance cannot latch twice.
+#: candidate.
 _SIG_MIN0 = 8
-#: Consecutive capture misses before an *unproven* candidate period is
-#: dropped.  Deliberately patient: a candidate that is a true
-#: *sub*-period of the canonical one (a pipeline micro-cycle whose
-#: multiple the memory walk closes) only key-matches after
-#: period/candidate captures, and the parallel probing upgrades junk
-#: latches long before this trips — the watchdog is the backstop for
-#: genuinely aperiodic dynamics, where misses are cheap (the cadence
-#: backs off exponentially past the grace window).
-_WATCHDOG_UNPROVEN = 512
 #: Unproven-candidate misses captured at the tight cadence before the
 #: cadence backs off.  Sub-period latches whose multiple closes the
 #: canonical period are found by the burst path, so the grace window
@@ -363,14 +346,6 @@ _APERIODIC_CAPS = 384
 #: drawn on time instead of capture count — a backed-off cadence can
 #: otherwise stretch hopeless probing across most of a run.
 _APERIODIC_TICKS = 1 << 15
-#: Consecutive whole-pass head recurrences whose canonical key did not
-#: match before the pass-identity watch is retired for the part.  A
-#: walk whose pipeline phase drifts pass-to-pass will never line up.
-_PASS_FAILS = 8
-#: Consecutive capture misses tolerated on a *proven* period before
-#: detection restarts from probing (the dynamics genuinely moved on,
-#: e.g. a tiled schedule entered a differently-shaped episode).
-_WATCHDOG_PROVEN = 256
 #: Consecutive capture misses before signature probing resumes *in
 #: parallel* with the capture cadence.  A wrap episode can stretch one
 #: pass by a non-multiple of the period, leaving the rigid cadence
@@ -390,10 +365,11 @@ _REPROBE_MISSES = 2
 _BURST_MISSES = 6
 #: Consecutive certificate-aligned captures whose canonical key never
 #: revisited a retained anchor before certificate guidance is declared
-#: wrong for this run (``cert-mismatch``) and dynamic detection takes
-#: over.  One window pairs after two aligned captures, so two dozen
-#: straight misses means the static and dynamic views genuinely
-#: disagree — not that the run is still warming up.
+#: wrong for this run (``cert-mismatch``).  One window pairs after two
+#: aligned captures, so two dozen straight misses means the static and
+#: dynamic views genuinely disagree — not that the run is still
+#: warming up.  A tiled run then stands down; a pair run hands itself
+#: to dynamic detection.
 _CERT_STRIKES = 24
 #: Initial tick backoff between pair-certificate-guided captures that
 #: missed (no canonical key hit).  Arithmetic lattices are dense (a
@@ -443,22 +419,15 @@ class FastPath:
         self.jumps = 0
         self.ticks_skipped = 0
         self._armed = False
-        # Canonical fingerprint -> list of retained captures, newest
-        # first.  Only consulted at the capture cadence.
+        # Canonical fingerprint -> the newest capture with that key.
+        # Only consulted at the capture cadence.
         self._seen: dict = {}
         # Cheap per-boundary signature -> [first sighting, last
         # sighting, last recurrence interval].  The first sighting
         # grows multiples until one clears the distance floor; the
         # last-interval pair powers the unproven-latch upgrade rule.
         self._sig_seen: dict = {}
-        # Stream-head offsets tuple -> earliest capture seen there.  A
-        # later boundary whose heads return to exactly these offsets is
-        # one whole pass further: the pair translates as identity and
-        # jumps the pass — wrap episode included — in one step.
-        self._pass_map: dict = {}
-        self._pass_at = 0
         self._sig_last: Optional[tuple] = None
-        self._sig_min = _SIG_MIN0
         self._probes = 0
         self._sleep_until = -1
         # Active trace part per thread at the last probe/capture.  A
@@ -472,7 +441,6 @@ class FastPath:
         self._hint_proven = False
         self._hint_misses = 0
         self._hint_hits = 0
-        self._futile = 0
         self._retry_at = 0
         self._vf_streak = 0
         self._capts = 0
@@ -480,7 +448,6 @@ class FastPath:
         self._burst_until = 0
         self._burst_done = False
         self._part_hit = False
-        self._pass_fails = 0
         self._part_t0 = 0
         # Consecutive capture aborts in the current detection era, and
         # the per-reason tally behind them.  A cell whose every capture
@@ -489,17 +456,15 @@ class FastPath:
         # abort reason instead of burning the probe budget.
         self._abort_streak = 0
         self._abort_reasons: dict = {}
-        # Tiled runs retain fingerprints across jumps (super-period
-        # anchors); stream runs clear them (a stale anchor would match
-        # the landing at an inflated period and wreck the wrap-sleep
-        # arithmetic, which is stream-specific).
-        self._retain = False
-        self._tiled_only = False
+        # The last phase (tiled) or lattice-residue (pair) vector the
+        # certificate-guided probes saw, and per tiled thread its
+        # phase -> reference-residue memo.
         self._last_phases: Optional[tuple] = None
         self._res_cache: list = []
         # Certificate-guided capture (repro.check.recurrence): per
         # thread, the statically certified aligned phase set.  Hints
-        # only — pairing still runs the full canonical proof.
+        # only — pairing still runs the full canonical proof.  The only
+        # capture mode a tiled run has.
         self._cert_mode = False
         self._cert_aligned: Optional[list] = None
         self._cert_strikes = 0
@@ -559,16 +524,6 @@ class FastPath:
                               (ChainedSource, CompiledTrace, TiledTrace)):
                 st.bump(st.stand_downs, "plain-generator")
                 return False
-        self._retain = any(type(th.gen) is TiledTrace
-                           for th in core.threads)
-        # Tile-level probing: when every source is a compiled tiled
-        # trace, its PhaseMarker boundaries carry the only recurrence
-        # worth fingerprinting — µarch state at matching positions of
-        # *different* tiles never matches anyway, while probing every
-        # boundary floods the signature table long before a whole-tile
-        # (or whole-iteration) recurrence can show up twice.
-        self._tiled_only = all(type(th.gen) is TiledTrace
-                               for th in core.threads)
         self._last_phases = None
         self._res_cache = [dict() for _ in core.threads]
         self._cert_mode = False
@@ -586,23 +541,27 @@ class FastPath:
         _pending_pair_cert = None
         if pcert is not None and not self._arm_pair_cert(pcert):
             return False
-        if self._tiled_only:
+        if any(type(th.gen) is TiledTrace for th in core.threads):
+            # Tiled runs capture only at the phases a certificate proves
+            # aligned: µarch state at matching positions of *different*
+            # tiles never matches, so only the statically certified
+            # tile/iteration distances can pair.
             certs = [getattr(th.gen, "cert", None) for th in core.threads]
-            if all(c is not None for c in certs):
-                if all(c.verdict == "none" for c in certs):
-                    # The certificate proves no phase distance admits a
-                    # constant set-preserving forward shift — exactly
-                    # the match the tiled pairing rules require — so
-                    # dynamic detection cannot jump either.  Skip its
-                    # whole hot-loop cost instead of paying capture
-                    # overhead for a provably fruitless search.
-                    st.bump(st.stand_downs, "cert-none")
-                    return False
-                if all(c.verdict == "recurrent" for c in certs):
-                    self._cert_mode = True
-                    self._cert_aligned = [
-                        frozenset(c.aligned_phases()) for c in certs]
-                    st.cert_runs += 1
+            verdicts = {None if c is None else c.verdict for c in certs}
+            if verdicts == {"none"}:
+                # The certificate proves no phase distance admits a
+                # constant set-preserving forward shift — exactly the
+                # match the tiled pairing rules require — so no capture
+                # could pair.  Skip the whole hot-loop cost.
+                st.bump(st.stand_downs, "cert-none")
+                return False
+            if verdicts != {"recurrent"}:
+                st.bump(st.stand_downs, "cert-absent")
+                return False
+            self._cert_mode = True
+            self._cert_aligned = [
+                frozenset(c.aligned_phases()) for c in certs]
+            st.cert_runs += 1
         self._armed = True
         st.armed += 1
         return True
@@ -619,10 +578,6 @@ class FastPath:
             return self._cert_probe(t, eff_limit)
         if self._pair_cert_mode:
             return self._pair_cert_probe(t, eff_limit)
-        if self._pass_map and t >= self._pass_at:
-            nt = self._pass_check(t, eff_limit)
-            if nt is not None:
-                return nt
         if t < self._burst_until:
             # Burst capture: anchor every boundary until a canonical
             # recurrence pairs at the exact true period.
@@ -643,13 +598,12 @@ class FastPath:
         return self._probe(t)
 
     def _reset_detection(self, parts: Optional[tuple], t: int = 0) -> None:
-        """Restart detection from probing (part transition, or a proven
-        period whose dynamics moved on for good)."""
+        """Restart detection from probing (part transition, or a pair
+        certificate that struck out)."""
         self._last_parts = parts
         self._part_t0 = t
         self._sig_seen.clear()
         self._sig_last = None
-        self._sig_min = _SIG_MIN0
         self._probes = 0
         self._seen.clear()
         self._hint_period = 0
@@ -657,7 +611,6 @@ class FastPath:
         self._hint_proven = False
         self._hint_misses = 0
         self._hint_hits = 0
-        self._futile = 0
         self._retry_at = 0
         self._vf_streak = 0
         self._capts = 0
@@ -665,9 +618,6 @@ class FastPath:
         self._burst_until = 0
         self._burst_done = False
         self._part_hit = False
-        self._pass_fails = 0
-        self._pass_map.clear()
-        self._pass_at = 0
         self._abort_streak = 0
         self._abort_reasons.clear()
 
@@ -684,8 +634,8 @@ class FastPath:
         proof as dynamic detection, so a wrong certificate can cost
         captures but not correctness.  When aligned captures
         persistently fail to revisit a canonical state, the static and
-        dynamic views disagree — record ``cert-mismatch`` and hand the
-        run to the dynamic detector.
+        dynamic views disagree — record ``cert-mismatch`` and stand
+        the run down.
         """
         aligned = self._cert_aligned
         if aligned is None:     # pragma: no cover — cert mode sets it
@@ -718,45 +668,37 @@ class FastPath:
             return t
         cap = self._capture(t)
         if cap is None:
-            if self._abort_stand_down():
-                return t
-            self._cert_strikes += 1
-            if self._cert_strikes >= _CERT_STRIKES:
-                self._cert_fallback(t)
+            if not self._abort_stand_down():
+                self._cert_strike()
             return t
         self._abort_streak = 0
-        caps = self._seen.get(cap.key)
-        if caps is None:
+        prev = self._seen.get(cap.key)
+        if prev is None:
             self._remember(cap)
-            self._cert_strikes += 1
-            if self._cert_strikes >= _CERT_STRIKES:
-                self._cert_fallback(t)
+            self._cert_strike()
             return t
         self._cert_strikes = 0
-        first = True
-        for prev in list(caps):
-            nt = self._try_pair(prev, cap, t, eff_limit, first)
-            if nt is not None:
-                if nt >= 0:
-                    self._st.cert_jumps += 1
-                    return nt
-                return t
-            first = False
+        nt = self._try_pair(prev, cap, t, eff_limit)
+        if nt is not None:
+            if nt >= 0:
+                self._st.cert_jumps += 1
+                return nt
+            return t
         # Key hit but no usable pair (cold transient, horizon): keep
         # the newest anchor fresh.  The aligned cadence is sparse — one
         # capture per phase crossing — so no extra backoff is needed.
-        caps[0] = cap
+        self._remember(cap)
         self._st.verify_failures += 1
         return t
 
-    def _cert_fallback(self, t: int) -> None:
-        """Aligned captures never revisited a canonical state: the
-        certificate is wrong for this run (stale geometry, seeded
-        defect, forged fixture).  Fall back to dynamic detection."""
-        self._st.bump(self._st.stand_downs, "cert-mismatch")
-        self._cert_mode = False
-        self._cert_aligned = None
-        self._reset_detection(self._last_parts, t)
+    def _cert_strike(self) -> None:
+        """An aligned capture that revisited no canonical state.  Enough
+        straight strikes mean the certificate is wrong for this run
+        (stale geometry, seeded defect, forged fixture): stand down."""
+        self._cert_strikes += 1
+        if self._cert_strikes >= _CERT_STRIKES:
+            self._armed = False
+            self._st.bump(self._st.stand_downs, "cert-mismatch")
 
     # ------------------------------------------------------------------
     # Level 0b: pair-certificate-guided capture (joint lattice residues)
@@ -777,7 +719,8 @@ class FastPath:
         """
         st = self._st
         if getattr(cert, "kind", None) != "pair" \
-                or len(self.core.threads) != 2 or self._retain:
+                or len(self.core.threads) != 2 \
+                or any(type(th.gen) is TiledTrace for th in self.core.threads):
             st.bump(st.stand_downs, "pair-cert-mismatch")
             return True
         if cert.verdict == "none":
@@ -908,8 +851,8 @@ class FastPath:
             self._pair_defer(t)
             return t
         self._abort_streak = 0
-        caps = self._seen.get(cap.key)
-        if caps is None:
+        prev = self._seen.get(cap.key)
+        if prev is None:
             self._remember(cap)
             if st_t in self._pair_caught:
                 # This joint residue produced a capture before, yet its
@@ -923,21 +866,18 @@ class FastPath:
             return t
         self._pair_anchor_add(st_t, t)
         self._pair_strikes = 0
-        first = True
-        for prev in list(caps):
-            nt = self._try_pair(prev, cap, t, eff_limit, first)
-            if nt is not None:
-                if nt >= 0:
-                    self._pair_backoff = _PAIR_BACKOFF0
-                    self._st.pair_cert_jumps += 1
-                    return nt
-                return t
-            first = False
+        nt = self._try_pair(prev, cap, t, eff_limit)
+        if nt is not None:
+            if nt >= 0:
+                self._pair_backoff = _PAIR_BACKOFF0
+                self._st.pair_cert_jumps += 1
+                return nt
+            return t
         # Key hit but no usable pair (cold transient, horizon): keep
         # the newest anchor fresh and back the cadence off without a
         # strike — the lattice is right, the orbit just has not
         # settled yet.
-        caps[0] = cap
+        self._remember(cap)
         self._st.verify_failures += 1
         self._pair_defer(t)
         return t
@@ -998,7 +938,7 @@ class FastPath:
         phase_mod = self._phase_mod
         parts = []
         sig = []
-        for i, th in enumerate(core.threads):
+        for th in core.threads:
             if th.gen_done:
                 parts.append(-1)
                 src_m: object = -1
@@ -1016,23 +956,9 @@ class FastPath:
                     if gen.pos >= gen.count:
                         return None
                     part_idx, trace = 0, gen
-                elif tg is TiledTrace:
-                    if gen.pos >= gen.count:
-                        return None
-                    part_idx, trace = 0, gen
                 else:
                     return None
-                if tg is TiledTrace:
-                    pos = trace.pos
-                    ph = trace.phase_of(pos)
-                    pid, refs = trace.phases[ph]
-                    rc = self._res_cache[i]
-                    res = rc.get(ph)
-                    if res is None:
-                        res = tuple(r % phase_mod for r in refs)
-                        rc[ph] = res
-                    src_m = (part_idx, pos - trace.starts[ph], pid, res)
-                elif trace.is_memory:
+                if trace.is_memory:
                     src_m = (part_idx, trace.pos % trace.pattern_len,
                              trace.offset % phase_mod)
                 else:
@@ -1046,21 +972,6 @@ class FastPath:
                  len(core._comp_heap), len(core._drain_q)))
 
     def _probe(self, t: int) -> int:
-        if self._tiled_only:
-            # Probe only at tile (phase) crossings: one signature per
-            # PhaseMarker instead of tens of thousands per tile keeps
-            # the sighting table alive across whole-iteration periods.
-            phs = []
-            for th in self.core.threads:
-                gen: Any = th.gen   # tiled-only: every source is tiled
-                if th.gen_done or gen.pos >= gen.count:
-                    phs.append(-1)
-                else:
-                    phs.append(gen.phase_of(gen.pos))
-            pht = tuple(phs)
-            if pht == self._last_phases:
-                return t
-            self._last_phases = pht
         ps = self._sig(t)
         if ps is None:
             return t
@@ -1096,17 +1007,17 @@ class FastPath:
             # same signature.  A long-latency stall freezes every
             # cheap field for stretches far shorter than the true
             # canonical period; re-adopting such a junk interval would
-            # reset the miss counter and starve the watchdog, while a
-            # one-off longer interval is as likely a cold-transient
+            # reset the miss counter and the backoff, while a one-off
+            # longer interval is as likely a cold-transient
             # coincidence.  A twice-confirmed longer interval is the
             # true orbit showing through the junk latch.
             d = d_last
-            if d <= self._hint_period or d < self._sig_min \
+            if d <= self._hint_period or d < _SIG_MIN0 \
                     or not confirmed:
                 return t
         else:
             d = t - rec[0]
-            if d < self._sig_min:
+            if d < _SIG_MIN0:
                 # Too short to trust — the *first* sighting is kept, so
                 # the next recurrence is measured at 2d, 3d, ... until
                 # one clears the threshold.
@@ -1120,7 +1031,6 @@ class FastPath:
         self._hint_proven = False
         self._hint_misses = 0
         self._hint_hits = 0
-        self._futile = 0
         self._vf_streak = 0
         self._retry_at = 0
         self._key_misses = 0
@@ -1137,94 +1047,9 @@ class FastPath:
 
     def _remember(self, cap: _Capture) -> None:
         seen = self._seen
-        caps = seen.get(cap.key)
-        if caps is None:
-            if len(seen) >= _MAX_ENTRIES:
-                seen.clear()
-            seen[cap.key] = [cap]
-        else:
-            caps.insert(0, cap)
-            del caps[_RETAIN:]
-        if not self._retain:
-            # Stream runs: index the capture by its joint head offsets.
-            # The earliest capture at an offset tuple survives the
-            # per-key retention churn and anchors whole-pass identity
-            # pairs (`_pass_check`) that the fine cadence cannot see.
-            offs = tuple(None if type(r) is not int else r
-                         for r in cap.mem_refs)
-            if any(r is not None for r in offs):
-                pm = self._pass_map
-                if len(pm) < _MAX_ENTRIES:
-                    pm.setdefault(offs, cap)
-
-    def _pass_check(self, t: int, eff_limit: int) -> Optional[int]:
-        """Whole-pass identity trigger for stream runs.
-
-        A sliding jump can never cross a region's top edge, so every
-        pass pays the wrap episode plus re-proof at the fine cadence.
-        But the walk returning to an *exact* previously-captured joint
-        head position one or more whole passes later is plain state
-        recurrence — wrap episode included — and jumps in one step.
-        This watches the (cheap) head offsets every stepped boundary;
-        on a hit it pays one capture, requires exact canonical-key
-        equality, and hands the pair to the normal verify/jump path.
-        Returns None when the boundary is not consumed.
-        """
-        refs: List[Optional[int]] = []
-        for th in self.core.threads:
-            if th.gen_done:
-                refs.append(None)
-                continue
-            gen = th.gen
-            if type(gen) is ChainedSource:
-                at = gen.active_trace()
-                if at is None:
-                    return None
-                trace = at[1]
-            elif type(gen) is CompiledTrace:
-                trace = gen
-            else:
-                return None
-            refs.append(trace.base + trace.offset
-                        if trace.is_memory else None)
-        anchor = self._pass_map.get(tuple(refs))
-        if anchor is None \
-                or t - anchor.tick <= max(4 * self._hint_period, 256):
-            # Too close: the fine cadence owns sub-pass distances (a
-            # lingering head would otherwise burn a capture per period
-            # against its own fresh anchor).  Heads linger on one
-            # offset for tens of ticks, so sampling every 16 still
-            # sees every joint position — checking every boundary
-            # would tax the whole simulation for a rare trigger.
-            self._pass_at = t + 16
-            return None
-        # Rearm past the lingering window: the head sits on one offset
-        # for several boundaries, and each pass revisits it once.
-        self._pass_at = t + max(self._hint_period, 64)
-        self._capts += 1
-        self._st.captures += 1
-        if self._capts > _CAPTURE_BUDGET:
-            self._armed = False
-            self._st.bump(self._st.stand_downs, "capture-budget")
-            return t
-        cap = self._capture(t)
-        if cap is None and self._abort_stand_down():
-            return t
-        if cap is None or cap.key != anchor.key:
-            # Pipeline phase drifted across the pass: nearby joint
-            # offsets will mismatch the same way, and a walk that
-            # drifts once drifts every pass — retire the watch after
-            # a few strikes instead of paying a capture per revisit.
-            self._pass_fails += 1
-            if self._pass_fails >= _PASS_FAILS:
-                self._pass_map.clear()
-            return t
-        self._part_hit = True
-        self._pass_fails = 0
-        nt = self._try_pair(anchor, cap, t, eff_limit, False)
-        if nt is not None and nt >= 0:
-            return nt
-        return t
+        if cap.key not in seen and len(seen) >= _MAX_ENTRIES:
+            seen.clear()
+        seen[cap.key] = cap
 
     def _hint_miss(self, t: int) -> int:
         self._hint_misses += 1
@@ -1235,9 +1060,7 @@ class FastPath:
                 # across it, not along the fresh orbit.
                 self._sig_seen.clear()
                 self._sig_last = None
-            if self._hint_misses >= _WATCHDOG_PROVEN:
-                self._reset_detection(self._last_parts, t)
-            elif self._hint_misses >= 2:
+            if self._hint_misses >= 2:
                 # A proven orbit whose cadence keeps missing is off
                 # phase (wrap/tile-edge stretch).  Captures are the
                 # expensive part of a miss: back the cadence off
@@ -1248,24 +1071,7 @@ class FastPath:
                 if nxt > self._hint_next:
                     self._hint_next = nxt
             return t
-        if self._hint_misses >= _WATCHDOG_UNPROVEN:
-            # The candidate cadence never landed on a canonical repeat
-            # and no upgrade showed through: genuinely junk.  Resume
-            # probing, doubling the distance floor so the same
-            # collision cannot latch twice.  Anchors are *kept* — they
-            # are real canonical states, and a later latch at the true
-            # period pairs against them across the dropped era.
-            d = self._hint_period
-            self._hint_period = 0
-            self._hint_next = -1
-            self._hint_misses = 0
-            self._hint_hits = 0
-            self._key_misses = 0
-            self._vf_streak = 0
-            self._sig_seen.clear()
-            self._sig_last = None
-            self._sig_min = max(d + 2, 2 * self._sig_min)
-        elif (not self._burst_done and self._hint_hits == 0
+        if (not self._burst_done and self._hint_hits == 0
                 and self._key_misses >= _BURST_MISSES):
             # Every capture of this candidate produced a fresh canonical
             # state: its grid never revisits a canonical phase (e.g. a
@@ -1310,8 +1116,8 @@ class FastPath:
         if parts != self._last_parts:
             self._reset_detection(parts, t)
             return t
-        caps = self._seen.get(cap.key)
-        if caps is None:
+        prev = self._seen.get(cap.key)
+        if prev is None:
             self._remember(cap)
             if t < self._burst_until:
                 return t
@@ -1336,25 +1142,22 @@ class FastPath:
             # A verification failed less than one period ago; the whole
             # current period shares whatever transient caused it, so
             # keep the newest anchor fresh but do not spend another
-            # attempt (and do not displace older anchors).
-            caps[0] = cap
+            # attempt.
+            self._remember(cap)
             return t
-        first = True
-        for prev in list(caps):
-            nt = self._try_pair(prev, cap, t, eff_limit, first)
-            if nt is not None:
-                return t if nt < 0 else nt
-            first = False
-        # Every retained anchor failed: remember the newer capture (its
-        # future has at least as much room), hold further attempts for
-        # one period — every phase of the current period shares the
-        # same transient.
-        caps[0] = cap
+        nt = self._try_pair(prev, cap, t, eff_limit)
+        if nt is not None:
+            return t if nt < 0 else nt
+        # The pair failed: remember the newer capture (its future has
+        # at least as much room), hold further attempts for one period
+        # — every phase of the current period shares the same
+        # transient.
+        self._remember(cap)
         # A long cold transient (caches still filling at store-buffer
         # drain rate) can outlast any fixed number of every-period
         # retries; back the retry cadence off exponentially (capped at
         # 8 periods) so the transient is *simulated* — cheap — instead
-        # of being captured at every boundary until futility trips.
+        # of being captured at every boundary.
         self._vf_streak += 1
         delay = self._hint_period * (1 << min(self._vf_streak - 1, 3))
         if delay < 256:
@@ -1367,11 +1170,6 @@ class FastPath:
         if self._retry_at > self._hint_next:
             self._hint_next = self._retry_at
         self._st.verify_failures += 1
-        if not self._hint_proven:
-            self._futile += 1
-            if self._futile > _FUTILITY_LIMIT:
-                self._armed = False
-                self._st.bump(self._st.stand_downs, "futility")
         return t
 
     # ------------------------------------------------------------------
@@ -1629,13 +1427,13 @@ class FastPath:
     # ------------------------------------------------------------------
 
     def _try_pair(self, prev: _Capture, cap: _Capture, t: int,
-                  eff_limit: int, first: bool) -> Optional[int]:
+                  eff_limit: int) -> Optional[int]:
         """Attempt a jump from the (prev, cap) anchor pair.
 
         Returns the landing tick on success, ``None`` if this pair is
-        unusable (the caller tries the next retained anchor), or ``-1``
-        if the attempt consumed the boundary another way (wrap sleep,
-        horizon stand-down) — only the newest anchor may do that.
+        unusable, or ``-1`` if the attempt consumed the boundary
+        another way (wrap sleep, horizon stand-down) — only a pair at
+        the cadence's own period may do that.
         """
         core = self.core
         n = len(core.threads)
@@ -1678,8 +1476,7 @@ class FastPath:
                         break
                 if neg:
                     # A reference walked backwards (a tile row reset):
-                    # not extrapolable — an older anchor spanning the
-                    # reset (a whole-row super-period) may still be.
+                    # not extrapolable.
                     return None
                 # Forward edges of one recurrence window, per region:
                 # the span [floor, head] the walk touches during phases
@@ -1753,11 +1550,10 @@ class FastPath:
             plan = (set(), set(), set(), set(), set())
 
         # -- how many whole periods fit ---------------------------------
-        # Only the newest anchor at the cadence's own (finest) period
-        # may consume the boundary with a sleep or a stand-down: an
-        # older anchor's inflated period proves nothing about whether
-        # one *fine* period still fits.
-        decisive = first and period <= self._hint_period
+        # Only a pair at the cadence's own (finest) period may consume
+        # the boundary with a sleep or a stand-down: an inflated period
+        # proves nothing about whether one *fine* period still fits.
+        decisive = period <= self._hint_period
         k = (eff_limit - t) // period
         if k < 1:
             if not decisive:
@@ -1882,15 +1678,13 @@ class FastPath:
 
         self._apply(prev, cap, k, period, dps, dls, tinfo, windows_k,
                     plan)
-        self._futile = 0
         self._vf_streak = 0
         self._capts = 0
         self._burst_until = 0
-        # Keep the pre-jump anchor: a later capture one tile-row or one
-        # pass further matches it across the *super*-period.  Inflated
-        # pairs it forms with post-landing captures are sound (their
+        # Keep the pre-jump capture as its key's anchor.  Inflated pairs
+        # it forms with post-landing captures are sound (their
         # per-period deltas scale with the period) and the horizon /
-        # wrap decisions above defer to the finest pair available.
+        # wrap decisions above defer to the cadence's own period.
         self._remember(cap)
         if not self._hint_proven and (
                 self._hint_hits <= 1

@@ -321,9 +321,10 @@ class ServeApp:
 
     def _do_cells(self, params: Dict[str, Any]) -> Response:
         fresh = _fresh_flag(params)
-        cells = parse_cells(params.get("cells"))
+        cells, keys = parse_cells(params.get("cells"))
         payloads, outcome = self.scheduler.fetch_payloads(cells,
-                                                          fresh=fresh)
+                                                          fresh=fresh,
+                                                          keys=keys)
         return 200, {"results": payloads, "serve": outcome.to_dict()}
 
     # -- server-sent events --------------------------------------------

@@ -175,18 +175,21 @@ class CellScheduler(CellPipeline):
 
     # -- the request path ----------------------------------------------
 
-    def fetch(self, cells: Sequence[SweepCell],
-              fresh: bool = False) -> Tuple[List[str], BatchOutcome]:
+    def fetch(self, cells: Sequence[SweepCell], fresh: bool = False,
+              keys: Optional[Sequence[str]] = None,
+              ) -> Tuple[List[str], BatchOutcome]:
         """Resolve a batch; returns canonical payload texts in order.
 
         ``fresh`` skips the warm probe (the cells still coalesce with
         any identical in-flight computation, and their results
-        overwrite the store).
+        overwrite the store).  ``keys``, when the caller already
+        derived them, are the cells' cache keys in order.
         """
         t0 = _now()
         n = len(cells)
         outcome = BatchOutcome(cells=n)
-        keys = [cell.key() for cell in cells]
+        keys = (list(keys) if keys is not None
+                else [cell.key() for cell in cells])
         labels = [cell_label(cell) for cell in cells]
         bus = self.telemetry
         if bus is not None:
@@ -202,7 +205,7 @@ class CellScheduler(CellPipeline):
 
         if miss_idx:
             self._resolve_misses(cells, keys, labels, miss_idx, texts,
-                                 outcome)
+                                 outcome, fresh)
 
         outcome.wall_s = _now() - t0
         self.counters.add(batches=1, cells=n,
@@ -225,9 +228,10 @@ class CellScheduler(CellPipeline):
         return list(texts), outcome
 
     def fetch_payloads(self, cells: Sequence[SweepCell],
-                       fresh: bool = False
+                       fresh: bool = False,
+                       keys: Optional[Sequence[str]] = None,
                        ) -> Tuple[List[dict], BatchOutcome]:
-        texts, outcome = self.fetch(cells, fresh=fresh)
+        texts, outcome = self.fetch(cells, fresh=fresh, keys=keys)
         return [json.loads(t) for t in texts], outcome
 
     def fetch_results(self, cells: Sequence[SweepCell],
@@ -244,12 +248,30 @@ class CellScheduler(CellPipeline):
                         keys: List[str], labels: List[str],
                         miss_idx: List[int],
                         texts: List[Optional[str]],
-                        outcome: BatchOutcome) -> None:
+                        outcome: BatchOutcome, fresh: bool) -> None:
         led, joined = self._flights.begin_many([keys[i] for i in miss_idx])
         # begin_many indexes into miss_idx's order; map back to batch
         # indices.
         led = [(miss_idx[j], flight) for j, flight in led]
         joined = [(miss_idx[j], flight) for j, flight in joined]
+        if not fresh and self.cache is not None:
+            # A leader may have published one of these cells between our
+            # probe and our claim: land those flights from the store
+            # instead of simulating the cell a second time.
+            still = []
+            for i, flight in led:
+                payload = self._stored(cells[i], keys[i])
+                if payload is None:
+                    still.append((i, flight))
+                    continue
+                texts[i] = json.dumps(payload)
+                self._flights.finish(flight, text=texts[i])
+                if self.telemetry is not None:
+                    self.telemetry.emit("cache-hit", idx=i, cell=labels[i])
+            landed = len(led) - len(still)
+            outcome.warm_hits += landed
+            outcome.misses -= landed
+            led = still
         outcome.led = len(led)
         outcome.coalesced = len(joined)
 

@@ -184,18 +184,22 @@ def resolve_target(params: Dict[str, Any]) -> ResolvedTarget:
     raise ConfigError(f"unknown target {target!r}; have {TARGETS}")
 
 
-def parse_cells(specs: Any) -> List[SweepCell]:
-    """Validate raw cell specs (the POST /cells body) into cells.
+def parse_cells(specs: Any) -> Tuple[List[SweepCell], List[str]]:
+    """Validate raw cell specs (the POST /cells body) into cells and
+    their cache keys.
 
     Each spec is ``{"kind": <registered kind>, "config": {...}}`` plus
     nothing else — machine overrides are a target-level concern.  An
     unknown kind or malformed config is a :class:`ConfigError` (400),
-    raised before anything is scheduled.
+    raised before anything is scheduled.  Deriving the key is what
+    validates a config, so the keys come back with the cells for
+    :meth:`~repro.serve.scheduler.CellScheduler.fetch` to reuse.
     """
     if not isinstance(specs, list) or not specs:
         raise ConfigError("cells must be a non-empty list of "
                           "{kind, config} objects")
     cells = []
+    keys = []
     for i, spec in enumerate(specs):
         if not isinstance(spec, dict) or not isinstance(
                 spec.get("config"), dict):
@@ -211,11 +215,11 @@ def parse_cells(specs: Any) -> List[SweepCell]:
         runner_for(kind)  # raises ConfigError on unknown kinds
         cell = SweepCell(kind=kind, config=spec["config"])
         try:
-            cell.key()  # eager: malformed configs fail here, not mid-run
+            keys.append(cell.key())  # malformed configs fail here
         except ConfigError:
             raise
         except Exception as e:
             raise ConfigError(f"cell #{i} has an invalid {kind!r} "
                               f"config: {e}")
         cells.append(cell)
-    return cells
+    return cells, keys

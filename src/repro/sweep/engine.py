@@ -171,20 +171,26 @@ class CellPipeline:
         results are ever published.
         """
         bus = self.telemetry
-        cache = None if fresh else self.cache
         t0 = _now()
         payloads: List[Optional[dict]] = [None] * len(cells)
         misses: List[int] = []
         for i, cell in enumerate(cells):
-            entry = cache.get(keys[i]) if cache is not None else None
-            if entry is not None and entry.get("kind") == cell.kind:
-                payloads[i] = entry["result"]
+            payload = None if fresh else self._stored(cell, keys[i])
+            if payload is not None:
+                payloads[i] = payload
                 if bus is not None:
                     bus.emit("cache-hit", idx=i, cell=labels[i])
             else:
                 misses.append(i)
         self._phase("probe", _now() - t0)
         return payloads, misses
+
+    def _stored(self, cell: SweepCell, key: str) -> Optional[dict]:
+        """The result payload the store holds for ``cell``, or None."""
+        entry = self.cache.get(key) if self.cache is not None else None
+        if entry is not None and entry.get("kind") == cell.kind:
+            return entry["result"]
+        return None
 
     def _compute(self, cells: Sequence[SweepCell], keys: List[str],
                  labels: List[str], idxs: List[int],

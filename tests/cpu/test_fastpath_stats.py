@@ -233,7 +233,8 @@ class TestCertificateGuidance:
     their own counters (``cert_runs``/``cert_captures``/``cert_jumps``)
     and the two stand-down verdicts — ``cert-none`` (proven fruitless,
     detection skipped) and ``cert-mismatch`` (static and dynamic views
-    disagree, dynamic detection takes over) — are attributed exactly."""
+    disagree, the run stands down) — are attributed exactly, and a
+    tiled run without a certificate stands down as ``cert-absent``."""
 
     def test_cert_guided_run_jumps_under_cert_counters(self):
         prog, trace = _tiled_loop_program(tiles=4, passes=128)
@@ -277,25 +278,34 @@ class TestCertificateGuidance:
         assert st.armed == 0 and st.captures == 0 and st.jumps == 0
         assert st.cert_runs == 0
 
-    def test_cert_mismatch_falls_back_to_dynamic_detection(self):
+    def test_cert_mismatch_stands_down(self):
         """Eight tiles per pass: the cache warms slower than the strike
         budget, so aligned captures never revisit a canonical state in
         time.  The run must record ``cert-mismatch`` — not a generic
-        bucket — and hand the rest of the run to dynamic detection
-        instead of disarming."""
+        bucket — and stand down after exactly ``_CERT_STRIKES``
+        captures: a tiled run captures only where its certificate says
+        to."""
+        from repro.cpu.fastpath import _CERT_STRIKES
+
         prog, trace = _tiled_loop_program(tiles=8, passes=64)
         assert trace.cert.verdict == "recurrent"
         prog.run()
         st = _fastpath.stats()
-        assert st.stand_downs.get("cert-mismatch", 0) == 1
-        assert st.cert_runs == 1
-        assert st.cert_captures >= 1
-        assert st.cert_jumps == 0
-        assert "capture-budget" not in st.stand_downs
-        assert "probe-budget" not in st.stand_downs
-        # The fallback re-armed dynamic detection rather than standing
-        # the run down outright.
-        assert st.armed == 1
+        assert st.stand_downs == {"cert-mismatch": 1}
+        assert st.cert_runs == 1 and st.armed == 1
+        assert st.jumps == 0 and st.cert_jumps == 0
+        assert st.captures == st.cert_captures == _CERT_STRIKES
+
+    def test_tiled_trace_without_certificate_stands_down(self):
+        """No certificate, no captures: a tiled run never falls back to
+        signature probing."""
+        prog, trace = _tiled_loop_program(tiles=4, passes=16)
+        trace.cert = None
+        prog.run()
+        st = _fastpath.stats()
+        assert st.stand_downs == {"cert-absent": 1}
+        assert st.armed == 0 and st.captures == 0 and st.jumps == 0
+        assert st.cert_runs == 0
 
 
 class TestPairCertificateGuidance:

@@ -76,8 +76,9 @@ class TestCertificationRefreshGuard:
     """Certificates are capture hints, never inputs to the result: the
     same app report must come out byte-identical with certification
     active (certificate-guided captures), stripped (build-time
-    attachment disabled, pure dynamic detection), and on a warm replay
-    with certification active."""
+    attachment disabled, so every tiled run stands down as
+    ``cert-absent``), and on a warm replay with certification
+    active."""
 
     @pytest.fixture(scope="class")
     def certified(self):

@@ -122,6 +122,39 @@ class TestCells:
                 c.cells([{"kind": "nonsense", "config": {}}])
         assert exc.value.status == 400
 
+    def test_malformed_config_400(self, tmp_path, daemon_factory):
+        d = daemon_factory(cache_dir=str(tmp_path), **WARM_KW)
+        with d.client() as c:
+            with pytest.raises(ServeError) as exc:
+                c.cells([_cell_spec(), {"kind": "app-run", "config": {}}])
+        assert exc.value.status == 400
+        assert "cell #1 has an invalid 'app-run' config" in \
+            exc.value.payload["error"]
+
+    def test_each_cell_is_keyed_once_per_request(self, tmp_path,
+                                                 daemon_factory,
+                                                 monkeypatch):
+        from repro.sweep.cells import SweepCell
+
+        calls = []
+        key = SweepCell.key
+
+        def counting_key(cell):
+            calls.append(cell.config["stream"])
+            return key(cell)
+
+        monkeypatch.setattr(SweepCell, "key", counting_key)
+        d = daemon_factory(cache_dir=str(tmp_path), **WARM_KW)
+        specs = [_cell_spec("iadd"), _cell_spec("fadd")]
+        with d.client() as c:
+            cold = c.cells(specs)
+            n_cold = len(calls)
+            warm = c.cells(specs)
+        assert cold["serve"]["misses"] == 2
+        assert warm["serve"]["warm_hits"] == 2
+        assert n_cold == 2
+        assert len(calls) - n_cold == 2
+
     def test_stale_recipe_422_with_check_field(self, tmp_path,
                                                daemon_factory):
         spec = _cell_spec()

@@ -282,3 +282,38 @@ class TestCoalescing:
             assert len(set(texts)) == 1 and texts[0] is not None
         finally:
             s.close()
+
+
+class TestStoreFilledBeforeTheClaim:
+    def test_cell_published_after_the_probe_is_served_from_the_store(
+            self, tmp_path, monkeypatch):
+        """A request that misses the store, then claims the flight only
+        after another leader published the cell and landed its flight,
+        must serve the published payload — not lead a second
+        simulation of the same cell."""
+        cells = _cells(names=("iadd",))
+        key = cells[0].key()
+        donor = ResultCache(tmp_path / "donor")
+        SweepEngine(cache=donor).run(cells)
+        entry = donor.get(key)
+        assert entry is not None
+
+        s = _scheduler(tmp_path)
+        begin_many = s._flights.begin_many
+
+        def publish_then_claim(keys):
+            s.cache.put(key, entry)       # the other leader lands here
+            return begin_many(keys)
+
+        monkeypatch.setattr(s._flights, "begin_many", publish_then_claim)
+        try:
+            texts, outcome = s.fetch(cells)
+            snap = s.counters.snapshot()
+            assert json.loads(texts[0]) == entry["result"]
+            assert snap["simulations"] == 0
+            assert snap["pool_dispatches"] == 0
+            assert outcome.led == 0
+            assert outcome.warm_hits == 1 and outcome.misses == 0
+            assert s._flights.in_flight() == 0
+        finally:
+            s.close()
