@@ -45,6 +45,12 @@ def _check_stream(name: str, ilp_name: str, recipe: Any,
             message=f"unknown stream {name!r}",
             hint=f"known streams: {sorted(STREAM_OPS)}",
         )]
+    if ilp_name not in ILP.__members__:
+        return [Finding(
+            check="preflight", severity=Severity.ERROR, site=site,
+            message=f"unknown ILP level {ilp_name!r}",
+            hint=f"known levels: {list(ILP.__members__)}",
+        )]
     if recipe is not None and recipe != stream_recipe(name):
         return [Finding(
             check="preflight", severity=Severity.ERROR, site=site,
@@ -101,8 +107,14 @@ def _check_app(cell: Any) -> List[Finding]:
             message=f"unknown variant {variant_value!r}",
             hint=f"known variants: {[v.value for v in Variant]}",
         )]
-    build = WORKLOADS[app].build(variant, mem_config=cell.mem_config,
-                                 **dict(config.get("size") or {}))
+    try:
+        build = WORKLOADS[app].build(variant, mem_config=cell.mem_config,
+                                     **dict(config.get("size") or {}))
+    except TypeError as e:
+        return [Finding(
+            check="preflight", severity=Severity.ERROR, site=site,
+            message=f"invalid size {config.get('size')!r}: {e}",
+        )]
     findings: List[Finding] = []
     plan = build.meta.get("span_plan")
     if plan is not None:

@@ -773,40 +773,6 @@ def workload_certificates(app: str, variant: Any, size: Dict[str, Any],
     return out
 
 
-def workload_cert_fingerprints(app: str, variant_value: str,
-                               size_items: Tuple[Tuple[str, Any], ...],
-                               mem_config: Any = None) -> Tuple[str, ...]:
-    """Certificate fingerprints for a cell's cache key (cached).
-
-    Keyed by the hashable cell identity so enumerating a sweep
-    certifies each distinct (app, variant, size) once per process.
-    """
-    return _cached_cert_fps(app, variant_value, size_items,
-                            _mem_token(mem_config))
-
-
-def _mem_token(mem_config: Any) -> Optional[Tuple[Tuple[str, Any], ...]]:
-    if mem_config is None:
-        return None
-    return tuple(sorted(mem_config.to_dict().items()))
-
-
-from functools import lru_cache  # noqa: E402  (decorator needs it below)
-
-
-@lru_cache(maxsize=256)
-def _cached_cert_fps(app: str, variant_value: str,
-                     size_items: Tuple[Tuple[str, Any], ...],
-                     mem_token: Optional[Tuple[Tuple[str, Any], ...]]
-                     ) -> Tuple[str, ...]:
-    from repro.mem.config import MemConfig
-
-    mem = MemConfig(**dict(mem_token)) if mem_token is not None else None
-    certs = workload_certificates(app, variant_value, dict(size_items),
-                                  mem_config=mem)
-    return tuple(c.fingerprint() for c in certs)
-
-
 def certificate_inventory(app_sizes: str = "all") -> Dict[str, Any]:
     """Certificates for every fig1/fig2 stream spec and every recordable
     app experiment — the ``repro certify`` / CI ``certificates.json``

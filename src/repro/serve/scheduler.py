@@ -328,13 +328,18 @@ class CellScheduler(CellPipeline):
             self.counters.add(preflight_rejected=n, errors=1)
 
     def _execute(self, tasks: List[Task]) -> List[Tuple[str, dict]]:
-        """Shard led cells across the persistent pool, in order."""
+        """Shard led cells across the persistent pool, in order.
+
+        A worker killed mid-cell loses its task without a trace, so
+        each wait is bounded like a joiner's: the timeout propagates
+        and :meth:`_lead` fails the flights instead of wedging them.
+        """
         pool = self._ensure_pool()
         pending = []
         for task in tasks:
             pending.append(pool.apply_async(_execute_task, (task,)))
             self.counters.add(pool_dispatches=1, simulations=1)
-        return [p.get() for p in pending]
+        return [p.get(FLIGHT_TIMEOUT_S) for p in pending]
 
     # -- introspection -------------------------------------------------
 

@@ -190,16 +190,17 @@ def parse_cells(specs: Any) -> Tuple[List[SweepCell], List[str]]:
 
     Each spec is ``{"kind": <registered kind>, "config": {...}}`` plus
     nothing else — machine overrides are a target-level concern.  An
-    unknown kind or malformed config is a :class:`ConfigError` (400),
-    raised before anything is scheduled.  Deriving the key is what
-    validates a config, so the keys come back with the cells for
+    unknown kind, or a config missing a field its runner reads (see
+    :attr:`~repro.sweep.cells.CellRunner.fields`), is a
+    :class:`ConfigError` (400), raised before anything is scheduled.
+    Field *values* are judged by pre-flight (422).  The keys come back
+    with the cells for
     :meth:`~repro.serve.scheduler.CellScheduler.fetch` to reuse.
     """
     if not isinstance(specs, list) or not specs:
         raise ConfigError("cells must be a non-empty list of "
                           "{kind, config} objects")
     cells = []
-    keys = []
     for i, spec in enumerate(specs):
         if not isinstance(spec, dict) or not isinstance(
                 spec.get("config"), dict):
@@ -212,14 +213,10 @@ def parse_cells(specs: Any) -> Tuple[List[SweepCell], List[str]]:
         kind = spec.get("kind")
         if not isinstance(kind, str):
             raise ConfigError(f"cell #{i} needs a string 'kind'")
-        runner_for(kind)  # raises ConfigError on unknown kinds
-        cell = SweepCell(kind=kind, config=spec["config"])
-        try:
-            keys.append(cell.key())  # malformed configs fail here
-        except ConfigError:
-            raise
-        except Exception as e:
+        runner = runner_for(kind)  # raises ConfigError on unknown kinds
+        missing = [f for f in runner.fields if f not in spec["config"]]
+        if missing:
             raise ConfigError(f"cell #{i} has an invalid {kind!r} "
-                              f"config: {e}")
-        cells.append(cell)
-    return cells, keys
+                              f"config: missing field(s) {missing}")
+        cells.append(SweepCell(kind=kind, config=spec["config"]))
+    return cells, [cell.key() for cell in cells]

@@ -28,7 +28,7 @@ import hashlib
 import inspect
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.sweep.keys import (CACHE_SCHEMA_VERSION, FASTPATH_SCHEMA_VERSION,
@@ -45,9 +45,19 @@ class SweepCell:
     mem_config: Optional[Any] = field(default=None, compare=False)
 
     def key_material(self) -> dict:
-        """Everything the cache key is derived from (ISSUE contract:
-        cell config, simulator config, schema version, repro version)."""
+        """Everything the cache key is derived from: the cell's kind
+        and config, the simulated machine, and the schema versions of
+        every layer a result passes through.
+
+        The key is a pure hash of these declared inputs, one rule for
+        every kind: nothing is built, compiled or certified to derive
+        it.  Certificates are absent on purpose — they steer the
+        fast-forward but cannot change result bytes, so a defect that
+        did change them is a jump-engine defect, invalidated by bumping
+        the fast-forward, recurrence or compose schema version.
+        """
         from repro import __version__
+        from repro.check.compose import COMPOSE_SCHEMA_VERSION
         from repro.check.recurrence import RECURRENCE_SCHEMA_VERSION
         from repro.cpu.config import CoreConfig
         from repro.mem.config import MemConfig
@@ -55,47 +65,19 @@ class SweepCell:
 
         core = self.core_config if self.core_config is not None else CoreConfig()
         mem = self.mem_config if self.mem_config is not None else MemConfig()
-        material = {
+        return {
             "cell": {"kind": self.kind, "config": self.config},
             "core_config": core.to_dict(),
             "mem_config": mem.to_dict(),
             "cache_schema_version": CACHE_SCHEMA_VERSION,
             "fastpath_schema_version": FASTPATH_SCHEMA_VERSION,
             "recurrence_schema_version": RECURRENCE_SCHEMA_VERSION,
+            "compose_schema_version": COMPOSE_SCHEMA_VERSION,
             # Warm hits skip the oracle, so a model change must
             # invalidate every entry it vouched for.
             "model_schema_version": MODEL_SCHEMA_VERSION,
             "repro_version": __version__,
         }
-        if self.kind == "app-run":
-            # App cells execute under certificate guidance: the
-            # certificates' fingerprints join the key so a recurrence-
-            # pass change invalidates exactly the cells it steers.
-            from repro.check.recurrence import workload_cert_fingerprints
-
-            c = self.config
-            material["cert_fingerprints"] = list(
-                workload_cert_fingerprints(
-                    c["app"], c["variant"],
-                    tuple(sorted(c["size"].items())),
-                    self.mem_config))
-        elif self.kind == "coexec-pair":
-            # Dual-stream cells execute under pair-certificate
-            # guidance (repro.check.compose): the joint certificate's
-            # fingerprint joins the key so a compose-pass change
-            # invalidates exactly the pair cells it steers.
-            from repro.check.compose import (
-                COMPOSE_SCHEMA_VERSION,
-                mem_token,
-                pair_cert_fingerprint,
-            )
-
-            c = self.config
-            material["compose_schema_version"] = COMPOSE_SCHEMA_VERSION
-            material["pair_cert_fingerprint"] = pair_cert_fingerprint(
-                c["stream_a"], c["stream_b"], c["ilp"],
-                mem_token(self.mem_config))
-        return material
 
     def key(self) -> str:
         return cache_key(self.key_material())
@@ -123,6 +105,9 @@ class CellRunner:
     """Executes one cell kind and moves its result through JSON."""
 
     kind: str = ""
+    #: The config fields :meth:`run` reads; a spec missing one is
+    #: rejected before it is keyed or scheduled.
+    fields: Tuple[str, ...] = ()
 
     def run(self, cell: SweepCell) -> Any:
         raise NotImplementedError
@@ -259,6 +244,7 @@ def table1_cell(app: str, column: str, size: dict) -> SweepCell:
 @register
 class StreamCPIRunner(CellRunner):
     kind = "stream-cpi"
+    fields = ("stream", "ilp", "threads", "horizon_ticks")
 
     def run(self, cell: SweepCell):
         from repro.core.streams import measure_stream_cpi
@@ -300,6 +286,7 @@ class StreamCPIRunner(CellRunner):
 @register
 class CoexecPairRunner(CellRunner):
     kind = "coexec-pair"
+    fields = ("stream_a", "stream_b", "ilp", "horizon_ticks")
 
     def run(self, cell: SweepCell):
         from repro.core.coexec import run_pair_cpis
@@ -323,6 +310,7 @@ class CoexecPairRunner(CellRunner):
 @register
 class AppRunRunner(CellRunner):
     kind = "app-run"
+    fields = ("app", "variant", "size")
 
     def run(self, cell: SweepCell):
         from repro.core.apps import run_app_experiment
@@ -375,6 +363,7 @@ class AppRunRunner(CellRunner):
 @register
 class Table1RowRunner(CellRunner):
     kind = "table1-row"
+    fields = ("app", "column", "size")
 
     def run(self, cell: SweepCell):
         from repro.core.table1 import table1_row

@@ -19,9 +19,9 @@ from repro.check.compose import (
     COMPOSE_SCHEMA_VERSION,
     PairCertificate,
     _stream_trace,
+    cached_pair_certificate,
     compose_findings,
     compose_pair,
-    pair_cert_fingerprint,
     pair_inventory,
 )
 from repro.check.findings import Severity
@@ -143,7 +143,8 @@ class TestSerialization:
 
     def test_cached_fingerprint_matches_fresh_composition(self):
         fresh = compose_pair("fload", "iload").fingerprint()
-        assert pair_cert_fingerprint("fload", "iload", "MAX") == fresh
+        assert cached_pair_certificate(
+            "fload", "iload", "MAX").fingerprint() == fresh
 
 
 class TestPassAndInventory:

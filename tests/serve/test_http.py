@@ -167,6 +167,47 @@ class TestCells:
         assert exc.value.payload.get("check") == "preflight"
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "stream-cpi", "config": {}},
+    {"kind": "coexec-pair", "config": {}},
+    {"kind": "app-run", "config": {}},
+    {"kind": "table1-row", "config": {}},
+    {"kind": "stream-cpi", "config": {
+        k: v for k, v in _cell_spec()["config"].items() if k != "ilp"}},
+], ids=["stream-cpi", "coexec-pair", "app-run", "table1-row",
+        "stream-cpi-no-ilp"])
+def test_malformed_config_400(tmp_path, daemon_factory, spec):
+    d = daemon_factory(cache_dir=str(tmp_path), **WARM_KW)
+    with d.client() as c:
+        with pytest.raises(ServeError) as exc:
+            c.cells([spec])
+    assert exc.value.status == 400
+    assert f"cell #0 has an invalid {spec['kind']!r} config" in \
+        exc.value.payload["error"]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "stream-cpi", "config": {**_cell_spec()["config"],
+                                       "ilp": "BOGUS"}},
+     "unknown ILP level 'BOGUS'"),
+    ({"kind": "coexec-pair", "config": {
+        "stream_a": "iadd", "stream_b": "fadd", "ilp": "BOGUS",
+        "horizon_ticks": H}}, "unknown ILP level 'BOGUS'"),
+    ({"kind": "app-run", "config": {
+        "app": "mm", "variant": "serial", "size": {"q": 16}}},
+     "invalid size {'q': 16}"),
+], ids=["stream-unknown-ilp", "pair-unknown-ilp", "app-bad-size"])
+def test_invalid_field_value_422(tmp_path, daemon_factory, spec, message):
+    d = daemon_factory(cache_dir=str(tmp_path), **WARM_KW)
+    with d.client() as c:
+        with pytest.raises(ServeError) as exc:
+            c.cells([spec])
+        assert c.stats()["counters"]["preflight_rejected"] == 1
+    assert exc.value.status == 422
+    assert exc.value.payload.get("check") == "preflight"
+    assert message in exc.value.payload["error"]
+
+
 class TestSweep:
     def test_fig1_sweep_shape(self, tmp_path, daemon_factory):
         d = daemon_factory(cache_dir=str(tmp_path), **WARM_KW)
@@ -253,13 +294,18 @@ class TestEvents:
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
         d = daemon_factory(cache_dir=str(tmp_path / "cache"),
                            telemetry_dir=str(tmp_path / "spool"))
+        kinds = []
         with d.client() as c:
             c.cells([_cell_spec()])
-            events = c.events(limit=6, timeout=30.0)
-        kinds = [e["ev"] for e in events]
+            # Read up to the first cell-end, however many other
+            # telemetry events precede it.
+            for event in c.iter_events(limit=1_000, timeout=30.0):
+                kinds.append(event["ev"])
+                if event["ev"] == "cell-end":
+                    break
         assert kinds[0] == "sweep-begin"
+        assert kinds[-1] == "cell-end"
         assert "cell-begin" in kinds
-        assert "cell-end" in kinds
 
     def test_events_400_when_telemetry_disabled(self, tmp_path,
                                                 daemon_factory):

@@ -1,14 +1,19 @@
 """CellScheduler behaviour: warm path, cold path, cache interop,
 oracle rejection, preflight rejection, leader-failure flight landing,
-concurrent coalescing."""
+a worker killed mid-cell, concurrent coalescing."""
 
 import json
+import os
+import signal
 import threading
+import time
 
 import pytest
 
 from repro.common.errors import CheckError, ConfigError
 from repro.isa.streams import ILP
+from repro.serve import scheduler as scheduler_mod
+from repro.serve.client import ServeError
 from repro.serve.scheduler import CellScheduler
 from repro.sweep import ResultCache, SweepEngine, runner_for, stream_cell
 
@@ -250,6 +255,40 @@ class TestLeaderFailureLandsFlights:
             assert outcome.warm_hits == 0
         finally:
             s.close()
+
+
+def _kill_own_worker(task):
+    """Pool task stand-in: the worker dies mid-cell, losing the task."""
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestDeadWorker:
+    def test_killed_worker_fails_in_bounded_time_and_frees_the_key(
+            self, tmp_path, monkeypatch, daemon_factory):
+        """A worker killed mid-cell never returns its result.  The
+        leader's wait is bounded, the request fails as a counted 500,
+        and the key is immediately retryable."""
+        bound = 2.0
+        monkeypatch.setattr(scheduler_mod, "FLIGHT_TIMEOUT_S", bound)
+        monkeypatch.setattr(scheduler_mod, "_execute_task",
+                            _kill_own_worker)
+        d = daemon_factory(cache_dir=str(tmp_path), telemetry=False)
+        cell = _cells(names=("iadd",))[0]
+        spec = {"kind": cell.kind, "config": cell.config}
+        with d.client() as c:
+            t0 = time.monotonic()
+            with pytest.raises(ServeError) as exc:
+                c.cells([spec])
+            assert time.monotonic() - t0 < bound + 10.0
+            assert exc.value.status == 500
+            stats = c.stats()
+            assert stats["in_flight"] == 0
+            assert stats["counters"]["errors"] == 1
+
+            monkeypatch.undo()
+            retry = c.cells([spec])
+        assert retry["serve"]["led"] == 1
+        assert retry["results"][0]["cpi"] > 0
 
 
 class TestCoalescing:

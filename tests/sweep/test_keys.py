@@ -2,7 +2,8 @@
 
 The key must be a function of a config's *meaning*: invariant under
 dict insertion order and float formatting, and changed by every
-individual field mutation.
+individual field mutation.  It is also a pure hash of a cell's
+declared inputs: deriving it builds, compiles and certifies nothing.
 """
 
 import json
@@ -161,3 +162,39 @@ class TestCellKeys:
     def test_unknown_stream_rejected(self):
         with pytest.raises(ConfigError):
             stream_cell("bogus", ILP.MAX, 1)
+
+
+class TestKeysFromDeclaredInputs:
+    def test_key_derivation_builds_and_certifies_nothing(self,
+                                                         monkeypatch):
+        from repro.check import compose, recurrence
+        from repro.workloads import WORKLOADS
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("key derivation must not build or "
+                                 "certify a workload")
+
+        for module in WORKLOADS.values():
+            monkeypatch.setattr(module, "build", forbidden)
+        monkeypatch.setattr(recurrence, "certify_tiled", forbidden)
+        monkeypatch.setattr(compose, "compose_pair", forbidden)
+        compose.cached_pair_certificate.cache_clear()
+        assert app_cell("lu", Variant.SERIAL, {"n": 32}).key()
+        assert pair_cell("fdiv", "fdiv", ILP.MAX).key()
+
+    @pytest.mark.parametrize("module, constant", [
+        ("repro.check.recurrence", "RECURRENCE_SCHEMA_VERSION"),
+        ("repro.check.compose", "COMPOSE_SCHEMA_VERSION"),
+    ])
+    def test_certifier_schema_bump_changes_every_key(self, monkeypatch,
+                                                     module, constant):
+        import importlib
+
+        cells = [stream_cell("iadd", ILP.MAX, 1, horizon_ticks=1000),
+                 pair_cell("fdiv", "fdiv", ILP.MAX),
+                 app_cell("lu", Variant.SERIAL, {"n": 32})]
+        before = [c.key() for c in cells]
+        mod = importlib.import_module(module)
+        monkeypatch.setattr(mod, constant, getattr(mod, constant) + 1)
+        after = [c.key() for c in cells]
+        assert all(a != b for a, b in zip(before, after))
