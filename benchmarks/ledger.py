@@ -74,7 +74,16 @@ def _git(*args: str) -> str:
 
 
 def head_sha() -> str:
-    return _git("rev-parse", "HEAD")
+    """HEAD's SHA, suffixed ``+dirty`` when tracked sources under
+    ``src/`` differ from it: a row recorded on an uncommitted tree
+    measures that tree, not HEAD."""
+    sha = _git("rev-parse", "HEAD")
+    # _git reads an empty output (a clean tree) as "unknown".
+    changed = _git("status", "--porcelain", "--untracked-files=no",
+                   "--", ":/src")
+    if sha != "unknown" and changed != "unknown":
+        return sha + "+dirty"
+    return sha
 
 
 def file_sha(path: os.PathLike) -> str:

@@ -69,6 +69,16 @@ def _check_stream(name: str, ilp_name: str, recipe: Any,
     return findings
 
 
+def _unknown_app(app: str, site: str) -> Finding:
+    from repro.workloads import WORKLOADS
+
+    return Finding(
+        check="preflight", severity=Severity.ERROR, site=site,
+        message=f"unknown application {app!r}",
+        hint=f"known applications: {sorted(WORKLOADS)}",
+    )
+
+
 def _check_app(cell: Any) -> List[Finding]:
     from repro.sweep.cells import workload_fingerprint
     from repro.workloads import WORKLOADS
@@ -78,11 +88,7 @@ def _check_app(cell: Any) -> List[Finding]:
     app = config["app"]
     site = f"app {app!r}/{config.get('variant', '?')}"
     if app not in WORKLOADS:
-        return [Finding(
-            check="preflight", severity=Severity.ERROR, site=site,
-            message=f"unknown application {app!r}",
-            hint=f"known applications: {sorted(WORKLOADS)}",
-        )]
+        return [_unknown_app(app, site)]
     sha = config.get("workload_sha")
     if sha is not None and sha != workload_fingerprint(app):
         return [Finding(
@@ -211,12 +217,14 @@ def preflight_cells(cells: Sequence[Any]) -> List[Finding]:
                 from repro.workloads import WORKLOADS
 
                 app = config["app"]
+                site = f"table1 {app!r}/{config.get('column', '?')}"
                 sha = config.get("workload_sha")
-                if app in WORKLOADS and sha is not None \
-                        and sha != workload_fingerprint(app):
+                if app not in WORKLOADS:
+                    findings.append(_unknown_app(app, site))
+                elif sha is not None and sha != workload_fingerprint(app):
                     findings.append(Finding(
                         check="preflight", severity=Severity.ERROR,
-                        site=f"table1 {app!r}/{config.get('column', '?')}",
+                        site=site,
                         message=(
                             f"cell carries workload fingerprint {sha} but "
                             f"the current {app!r} module digests to "

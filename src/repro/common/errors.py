@@ -50,6 +50,12 @@ def format_cli_error(prog: str, message) -> str:
     return f"{prog}: error: {message}"
 
 
+class WorkerTimeout(ReproError):
+    """Raised when a pool worker does not return a cell's result within
+    its bound — most often because the worker process died mid-cell.
+    The message names the cell(s) and the bound that expired."""
+
+
 class SimulationError(ReproError):
     """Raised when the simulated machine reaches an invalid state."""
 

@@ -24,13 +24,39 @@ alloc (needs SQ entry) → issue on the store port (address+data dispatch)
 ``store_commit_interval``; the SQ entry frees only when the drained line
 access completes.  `RESOURCE_STALL_SB` counts allocator cycles a thread's
 store sat blocked on a full SQ — the paper's stall metric.
+
+Issue stage
+-----------
+Each tick the issue stage offers ``issue_width`` slots to the threads in
+priority order; a thread issues its oldest ready µops among the oldest
+``sched_window`` entries of ``waiting``.  It finds them without
+rescanning that window.  At allocate a µop counts its incomplete
+producers into ``pending`` and registers on each producer's
+``waiters``; a µop with none joins its thread's ``ready`` list at once.
+A completion — a heap pop in ``_complete`` or a same-tick completion in
+``_issue`` — counts each waiter down, and a waiter reaching zero is
+inserted into ``ready`` in ``seq`` (age) order; the producer then drops
+its ``waiters``, so no reference cycle outlives it.  ``_issue`` walks
+``ready`` oldest first and stops at the window edge, the ``seq`` of the
+last window entry when the walk starts.  A dependant woken by a
+same-tick completion is younger than its producer, so it lands ahead of
+the walk and is visited in the same pass, exactly as a window rescan
+would.  Within one tick a unit only gets busier, so once ``try_issue``
+fails for one unit set, every later µop routed to those units is
+skipped for the rest of the tick, across both threads.  ``waiting`` and
+``deps`` keep their full meaning (the fast-forward's state capture and
+the stall accountant read both; ``deps`` is never pruned): ``ready`` is
+always exactly the ``waiting`` entries whose ``deps`` have all
+completed, in order.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from repro.common.errors import ConfigError, DeadlockError
@@ -44,13 +70,7 @@ from repro.mem.hierarchy import MemoryHierarchy
 from repro.observe.tracer import NULL_TRACER, Tracer
 from repro.perfmon import Event, PerfMonitor
 
-_OP_ILOAD = int(Op.ILOAD)
-_OP_FLOAD = int(Op.FLOAD)
-_OP_ISTORE = int(Op.ISTORE)
-_OP_FSTORE = int(Op.FSTORE)
-_OP_PAUSE = int(Op.PAUSE)
-_OP_HALT = int(Op.HALT)
-_OP_PREFETCH = int(Op.PREFETCH)
+_SEQ = attrgetter("seq")
 
 
 @dataclass
@@ -108,7 +128,20 @@ class SMTCore:
         if self.hierarchy.monitor is not self.monitor:
             raise ConfigError("hierarchy and core must share one PerfMonitor")
         self.units = UnitPool(self.config)
+        # One bit per distinct unit set: a failed try_issue marks every
+        # op routed to the same units blocked for the rest of the tick.
+        bits: dict[frozenset, int] = {}
+        self._blocked_bit = [0] * (max(self.units.dispatch) + 1)
+        for op, (_timing, route) in self.units.dispatch.items():
+            key = frozenset(unit.name for unit in route)
+            self._blocked_bit[op] = bits.setdefault(key, 1 << len(bits))
+        cfg = self.config
+        self._full_caps = (cfg.uopq_total, cfg.rob_total,
+                           cfg.loadq_total, cfg.storeq_total)
+        self._half_caps = tuple(c // 2 for c in self._full_caps)
         self.threads: list[ThreadContext] = []
+        self._peers: list[Optional[ThreadContext]] = []
+        self._n_done = 0
         self.tick = 0
         self._gseq = 0
         self._comp_heap: list[tuple[int, int, Instr]] = []
@@ -169,9 +202,11 @@ class SMTCore:
             self._order_single = None
             self._rr_pairs = ((threads[0], threads[1]),
                               (threads[1], threads[0]))
+            self._peers = [threads[1], threads[0]]
         else:
             self._order_single = (threads[0],)
             self._rr_pairs = None
+            self._peers = [None]
         return tid
 
     # ------------------------------------------------------------------
@@ -236,14 +271,12 @@ class SMTCore:
         elif not fp.prepare():
             fp = None
         t = self.tick
+        n_threads = len(threads)
         while True:
             if stop_at_tick is not None and t >= stop_at_tick:
                 break
-            if stop_on_first_done and any(
-                th.state is ThreadState.DONE for th in threads
-            ):
-                break
-            if all(th.state is ThreadState.DONE for th in threads):
+            n_done = self._n_done
+            if n_done and (stop_on_first_done or n_done == n_threads):
                 break
             if t >= limit:
                 raise DeadlockError(
@@ -370,6 +403,7 @@ class SMTCore:
             ):
                 th.state = ThreadState.DONE
                 th.done_tick = t
+                self._n_done += 1
 
     def _enter_halt(self, th: ThreadContext, t: int) -> None:
         th.halt_inflight = False
@@ -389,6 +423,10 @@ class SMTCore:
         while heap and heap[0][0] <= t:
             _, _, uop = heapq.heappop(heap)
             uop.completed = True
+            waiters = uop.waiters
+            if waiters is not None:
+                uop.waiters = None
+                _wake(waiters, self.threads[uop.thread].ready)
             if tr is not None:
                 tr.complete(t, uop.thread, uop)
             op = uop.op
@@ -429,6 +467,8 @@ class SMTCore:
         heap = self._comp_heap
         threads = self.threads
         tr = self._tr
+        blocked_bit = self._blocked_bit
+        blocked = 0
         used = self._issue_used if self._acct is not None else None
         if used is not None:
             for i in range(len(used)):
@@ -444,85 +484,85 @@ class SMTCore:
         for th in order:
             if budget <= 0:
                 break
-            waiting = th.waiting
-            if not waiting:
+            ready = th.ready
+            if not ready:
                 continue
+            tid = th.tid
+            waiting = th.waiting
+            head = window if window < len(waiting) else len(waiting)
+            edge = waiting[head - 1].seq
             issued_any = False
-            limit = window if window < len(waiting) else len(waiting)
-            for k in range(limit):
-                if budget <= 0:
+            i = 0
+            # ``ready`` changes under the loop: an issued µop leaves it
+            # at position i, and a same-tick completion inserts its
+            # woken dependants (all younger) at or after position i.
+            while budget > 0 and i < len(ready):
+                uop = ready[i]
+                if uop.seq > edge:
                     break
-                uop = waiting[k]
-                if uop.issued:
+                op = uop.op
+                bit = blocked_bit[op]
+                if blocked & bit:
+                    i += 1
                     continue
-                ready = True
-                for dep in uop.deps:
-                    if not dep.completed:
-                        ready = False
-                        break
-                if not ready:
-                    continue
-                op = int(uop.op)
-                ok, comp = units.try_issue(op, t, th.tid)
+                ok, comp = units.try_issue(op, t, tid)
                 if not ok:
+                    blocked |= bit
+                    i += 1
                     continue
-                if op == _OP_ILOAD or op == _OP_FLOAD:
-                    access = hierarchy.load(uop.addr, th.tid, t, uop.site)
+                if op is Op.ILOAD or op is Op.FLOAD:
+                    access = hierarchy.load(uop.addr, tid, t, uop.site)
                     comp += access.latency
-                elif op == _OP_PREFETCH:
-                    hierarchy.swprefetch(uop.addr, th.tid, t)
-                    self.monitor.raw[Event.SW_PREFETCH_ISSUED][th.tid] += 1
-                elif op == _OP_HALT:
+                elif op is Op.PREFETCH:
+                    hierarchy.swprefetch(uop.addr, tid, t)
+                    self.monitor.raw[Event.SW_PREFETCH_ISSUED][tid] += 1
+                elif op is Op.HALT:
                     comp = t + self.config.halt_enter_ticks
                 uop.issued = True
+                del ready[i]
+                del waiting[bisect_left(waiting, uop.seq, key=_SEQ)]
                 budget -= 1
                 issued_any = True
                 if used is not None:
-                    used[th.tid] += 1
+                    used[tid] += 1
                 if tr is not None:
-                    tr.issue(t, th.tid, uop)
+                    tr.issue(t, tid, uop)
                 if comp <= t:
                     uop.completed = True
+                    waiters = uop.waiters
+                    if waiters is not None:
+                        uop.waiters = None
+                        _wake(waiters, ready)
                     if tr is not None:
-                        tr.complete(t, th.tid, uop)
+                        tr.complete(t, tid, uop)
                     if uop.effect is not None:
                         uop.effect()
                 else:
                     self._gseq += 1
                     heapq.heappush(heap, (comp, self._gseq, uop))
-            if issued_any:
-                # Compact in place: the waiting list object is reused for
-                # the thread's whole lifetime (no per-tick list churn).
-                write = 0
-                for u in waiting:
-                    if not u.issued:
-                        waiting[write] = u
-                        write += 1
-                del waiting[write:]
-                if len(threads) == 2 and th is order[0]:
-                    self._issue_burst += 1
-                    if self._issue_burst >= self.config.issue_burst:
-                        self._issue_rr = 1 - self._issue_rr
-                        self._issue_burst = 0
+            if issued_any and len(threads) == 2 and th is order[0]:
+                self._issue_burst += 1
+                if self._issue_burst >= self.config.issue_burst:
+                    self._issue_rr = 1 - self._issue_rr
+                    self._issue_burst = 0
 
     # -- capacity helpers ----------------------------------------------
 
-    def _cap(self, th: ThreadContext, total: int, peer_used: int) -> int:
-        if not self.config.partitioned:
-            return total - peer_used
-        peer = self._peer(th)
-        if peer is None or not peer.occupies_partition:
-            return total
-        return total // 2
-
-    def _peer(self, th: ThreadContext) -> Optional[ThreadContext]:
-        if len(self.threads) == 1:
-            return None
-        return self.threads[1 - th.tid]
+    def _caps(self, th: ThreadContext) -> tuple[int, ...]:
+        """``th``'s (µop queue, ROB, load queue, store queue) capacity."""
+        peer = self._peers[th.tid]
+        if self.config.partitioned:
+            if peer is not None and peer.occupies_partition:
+                return self._half_caps
+            return self._full_caps
+        if peer is None:
+            return self._full_caps
+        uopq, rob, lq, sq = self._full_caps
+        return (uopq - len(peer.uopq), rob - len(peer.rob),
+                lq - peer.lq_used, sq - peer.sq_used)
 
     def _allocate(self, t: int) -> None:
         budget = self.config.alloc_width
-        cfg = self.config
         tr = self._tr
         used = self._alloc_used if self._acct is not None else None
         if used is not None:
@@ -534,15 +574,12 @@ class SMTCore:
             uopq = th.uopq
             if not uopq or th.state is not ThreadState.ACTIVE:
                 continue
-            peer = self._peer(th)
-            peer_rob = len(peer.rob) if peer else 0
-            peer_lq = peer.lq_used if peer else 0
-            peer_sq = peer.sq_used if peer else 0
-            rob_cap = self._cap(th, cfg.rob_total, peer_rob)
-            lq_cap = self._cap(th, cfg.loadq_total, peer_lq)
-            sq_cap = self._cap(th, cfg.storeq_total, peer_sq)
+            # Under unified queues the peer's usage sets the caps, so
+            # they are read at this thread's turn, after the peer's.
+            _, rob_cap, lq_cap, sq_cap = self._caps(th)
             rob = th.rob
             waiting = th.waiting
+            ready = th.ready
             regmap = th.regmap
             while budget > 0 and uopq:
                 uop = uopq[0]
@@ -559,6 +596,8 @@ class SMTCore:
                     th.sq_used += 1
                 uopq.popleft()
                 budget -= 1
+                uop.waiters = None
+                pending = 0
                 srcs = uop.srcs
                 if srcs:
                     deps = []
@@ -566,13 +605,22 @@ class SMTCore:
                         producer = regmap.get(s)
                         if producer is not None and not producer.completed:
                             deps.append(producer)
+                            if producer.waiters is None:
+                                producer.waiters = [uop]
+                            else:
+                                producer.waiters.append(uop)
                     if deps:
                         uop.deps = tuple(deps)
+                        pending = len(deps)
+                uop.pending = pending
                 dst = uop.dst
                 if dst is not None:
                     regmap[dst] = uop
                 rob.append(uop)
                 waiting.append(uop)
+                if not pending:
+                    # The youngest µop: appending keeps age order.
+                    ready.append(uop)
                 if used is not None:
                     used[th.tid] += 1
                 if tr is not None:
@@ -580,25 +628,20 @@ class SMTCore:
 
     def _count_stalls(self, t: int) -> None:
         """Per-cycle allocator-stall accounting (the paper's metric)."""
-        cfg = self.config
         mon = self.monitor.raw
         for th in self.threads:
             if th.state is not ThreadState.ACTIVE or not th.uopq:
                 continue
-            uop = th.uopq[0]
-            op = uop.op
-            peer = self._peer(th)
+            op = th.uopq[0].op
+            _, rob_cap, lq_cap, sq_cap = self._caps(th)
             if op is Op.ISTORE or op is Op.FSTORE:
-                sq_cap = self._cap(th, cfg.storeq_total, peer.sq_used if peer else 0)
                 if th.sq_used >= sq_cap:
                     mon[Event.RESOURCE_STALL_SB][th.tid] += 1
                     continue
             elif op is Op.ILOAD or op is Op.FLOAD:
-                lq_cap = self._cap(th, cfg.loadq_total, peer.lq_used if peer else 0)
                 if th.lq_used >= lq_cap:
                     mon[Event.RESOURCE_STALL_LQ][th.tid] += 1
                     continue
-            rob_cap = self._cap(th, cfg.rob_total, len(peer.rob) if peer else 0)
             if len(th.rob) >= rob_cap:
                 mon[Event.RESOURCE_STALL_ROB][th.tid] += 1
 
@@ -612,8 +655,7 @@ class SMTCore:
                 break
             if not th.can_fetch(t):
                 continue
-            peer = self._peer(th)
-            cap = self._cap(th, cfg.uopq_total, len(peer.uopq) if peer else 0)
+            cap = self._caps(th)[0]
             uopq = th.uopq
             if tr is None and th.batched:
                 # Compiled-trace sources: pull whole fetch batches.  Gate
@@ -746,3 +788,16 @@ class SMTCore:
             # wall-tick count even through the fast-forward.
             self._acct.on_gap(self, t + 1, nxt - 1)
         return nxt
+
+
+def _wake(waiters: list, ready: list) -> None:
+    """Count a completion down in each waiter; a waiter whose last
+    producer completed joins its thread's ``ready`` list in age order."""
+    for w in waiters:
+        w.pending -= 1
+        if not w.pending:
+            seq = w.seq
+            if not ready or ready[-1].seq < seq:
+                ready.append(w)
+            else:
+                ready.insert(bisect_left(ready, seq, key=_SEQ), w)

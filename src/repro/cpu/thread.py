@@ -32,6 +32,7 @@ class ThreadContext:
         "uopq",
         "rob",
         "waiting",
+        "ready",
         "regmap",
         "lq_used",
         "sq_used",
@@ -57,7 +58,11 @@ class ThreadContext:
         self.state = ThreadState.ACTIVE
         self.uopq: deque[Instr] = deque()
         self.rob: deque[Instr] = deque()
+        # Allocated, not yet issued µops in age order; ``ready`` is the
+        # subsequence whose producers have all completed (the core's
+        # issue stage keeps it, see ``cpu/core.py``).
         self.waiting: list[Instr] = []
+        self.ready: list[Instr] = []
         self.regmap: dict[int, Instr] = {}
         self.lq_used = 0
         self.sq_used = 0

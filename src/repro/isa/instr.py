@@ -60,14 +60,21 @@ class Instr:
         "seq",
         "deps",
         "completed",
-        "comp_tick",
         "issued",
+        # --- issue-stage wake lists, assigned at allocate ---
+        "pending",
+        "waiters",
     )
 
     # ``deps`` starts as the shared empty tuple and is rebound by the
     # core to the in-flight ``Instr`` objects this µop waits on —
     # annotated loosely so both shapes type-check.
     deps: tuple
+    # ``pending`` counts the entries of ``deps`` not yet completed;
+    # ``waiters`` lists the allocated µops whose ``deps`` name this one
+    # (``None`` when there are none, and again once it completes).
+    pending: int
+    waiters: Optional[list]
 
     def __init__(
         self,
@@ -88,7 +95,6 @@ class Instr:
         self.seq = -1
         self.deps = EMPTY
         self.completed = False
-        self.comp_tick = -1
         self.issued = False
         if addr is None and (is_mem(op) or op is Op.PREFETCH):
             raise ValueError(f"{op.name} requires an address")

@@ -128,7 +128,6 @@ class CompiledTrace:
         ins.seq = -1
         ins.deps = EMPTY
         ins.completed = False
-        ins.comp_tick = -1
         ins.issued = False
         return ins
 
@@ -163,7 +162,6 @@ class CompiledTrace:
                 ins.seq = -1
                 ins.deps = EMPTY
                 ins.completed = False
-                ins.comp_tick = -1
                 ins.issued = False
                 append(ins)
         else:
@@ -180,7 +178,6 @@ class CompiledTrace:
                 ins.seq = -1
                 ins.deps = EMPTY
                 ins.completed = False
-                ins.comp_tick = -1
                 ins.issued = False
                 append(ins)
         self.pos = end
@@ -404,7 +401,6 @@ class TiledTrace:
         ins.seq = -1
         ins.deps = EMPTY
         ins.completed = False
-        ins.comp_tick = -1
         ins.issued = False
         return ins
 
@@ -445,7 +441,6 @@ class TiledTrace:
                 ins.seq = -1
                 ins.deps = EMPTY
                 ins.completed = False
-                ins.comp_tick = -1
                 ins.issued = False
                 append(ins)
             pos = stop

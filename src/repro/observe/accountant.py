@@ -254,17 +254,13 @@ class CycleAccountant:
             if t < th.fetch_gate_until:
                 return PAUSE_GATED
             return FETCH_STARVED
-        cfg = core.config
-        peer = core._peer(th)
-        uop = th.uopq[0]
-        op = uop.op
+        _, _, lq_cap, sq_cap = core._caps(th)
+        op = th.uopq[0].op
         if op is Op.ISTORE or op is Op.FSTORE:
-            cap = core._cap(th, cfg.storeq_total, peer.sq_used if peer else 0)
-            if th.sq_used >= cap:
+            if th.sq_used >= sq_cap:
                 return SQ_STALLED
         elif op is Op.ILOAD or op is Op.FLOAD:
-            cap = core._cap(th, cfg.loadq_total, peer.lq_used if peer else 0)
-            if th.lq_used >= cap:
+            if th.lq_used >= lq_cap:
                 return LQ_STALLED
         return ROB_STALLED
 

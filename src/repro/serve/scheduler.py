@@ -27,12 +27,13 @@ exactly one ``simulations`` increment.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.errors import CheckError, ConfigError
+from repro.common.errors import CheckError, ConfigError, WorkerTimeout
 from repro.serve.coalesce import SingleFlight
 from repro.sweep.cache import ResultCache
 from repro.sweep.cells import SweepCell, cell_label, runner_for
@@ -331,15 +332,26 @@ class CellScheduler(CellPipeline):
         """Shard led cells across the persistent pool, in order.
 
         A worker killed mid-cell loses its task without a trace, so
-        each wait is bounded like a joiner's: the timeout propagates
-        and :meth:`_lead` fails the flights instead of wedging them.
+        each wait is bounded like a joiner's: the timeout propagates as
+        a :class:`WorkerTimeout` naming the cells still outstanding, and
+        :meth:`_lead` fails the flights instead of wedging them.
         """
         pool = self._ensure_pool()
         pending = []
         for task in tasks:
             pending.append(pool.apply_async(_execute_task, (task,)))
             self.counters.add(pool_dispatches=1, simulations=1)
-        return [p.get(FLIGHT_TIMEOUT_S) for p in pending]
+        out = []
+        for j, p in enumerate(pending):
+            try:
+                out.append(p.get(FLIGHT_TIMEOUT_S))
+            except multiprocessing.TimeoutError:
+                labels = ", ".join(task[2] for task in tasks[j:])
+                raise WorkerTimeout(
+                    f"no worker result for cell(s) {labels} within "
+                    f"FLIGHT_TIMEOUT_S={FLIGHT_TIMEOUT_S}s; the worker "
+                    f"may have died mid-cell") from None
+        return out
 
     # -- introspection -------------------------------------------------
 

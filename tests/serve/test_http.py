@@ -196,7 +196,11 @@ def test_malformed_config_400(tmp_path, daemon_factory, spec):
     ({"kind": "app-run", "config": {
         "app": "mm", "variant": "serial", "size": {"q": 16}}},
      "invalid size {'q': 16}"),
-], ids=["stream-unknown-ilp", "pair-unknown-ilp", "app-bad-size"])
+    ({"kind": "table1-row", "config": {
+        "app": "bogus", "column": "serial", "size": {"n": 16}}},
+     "unknown application 'bogus'"),
+], ids=["stream-unknown-ilp", "pair-unknown-ilp", "app-bad-size",
+        "table1-unknown-app"])
 def test_invalid_field_value_422(tmp_path, daemon_factory, spec, message):
     d = daemon_factory(cache_dir=str(tmp_path), **WARM_KW)
     with d.client() as c:

@@ -16,6 +16,7 @@ from repro.serve import scheduler as scheduler_mod
 from repro.serve.client import ServeError
 from repro.serve.scheduler import CellScheduler
 from repro.sweep import ResultCache, SweepEngine, runner_for, stream_cell
+from repro.sweep.cells import cell_label
 
 #: Small horizon: each cell runs in tens of milliseconds while still
 #: reaching the steady-state marker (same constant as the engine tests).
@@ -281,6 +282,10 @@ class TestDeadWorker:
                 c.cells([spec])
             assert time.monotonic() - t0 < bound + 10.0
             assert exc.value.status == 500
+            error = exc.value.payload["error"]
+            assert error.startswith("WorkerTimeout: ")
+            assert cell_label(cell) in error
+            assert f"FLIGHT_TIMEOUT_S={bound}s" in error
             stats = c.stats()
             assert stats["in_flight"] == 0
             assert stats["counters"]["errors"] == 1

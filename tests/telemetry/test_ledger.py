@@ -48,6 +48,13 @@ class TestAppendAndRead:
     def test_missing_ledger_reads_empty(self, ledger, tmp_path):
         assert ledger.read(tmp_path / "absent.jsonl") == []
 
+    def test_head_sha_marks_uncommitted_sources(self, ledger, monkeypatch):
+        out = {"rev-parse": "abc", "status": " M src/repro/cpu/core.py"}
+        monkeypatch.setattr(ledger, "_git", lambda *args: out[args[0]])
+        assert ledger.head_sha() == "abc+dirty"
+        out["status"] = "unknown"
+        assert ledger.head_sha() == "abc"
+
 
 class TestCheckRules:
     def test_empty_ledger_is_ok(self, ledger, tmp_path):
