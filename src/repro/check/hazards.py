@@ -25,13 +25,15 @@ exempt.  Everything is static: no simulator is constructed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.check.findings import Finding, Severity
 from repro.common.addrspace import AddressSpace
 from repro.isa.instr import Instr
-from repro.isa.opcodes import is_load, is_mem, is_store
-from repro.isa.streams import StreamSpec, make_stream
+from repro.isa.opcodes import Op, is_load, is_mem
+from repro.isa.streams import ILP, StreamSpec, make_stream
 
 #: Unrolled-window length: divisible by every |T| (1, 3, 6) and stream
 #: rotation (1 or 2 ops), long enough that warm-up edges vanish from
@@ -53,27 +55,71 @@ class ChainStats:
     distinct_targets: int   # |{dst}| over the window
 
 
-def chain_stats(instrs: Sequence[Instr]) -> ChainStats:
+@dataclass(frozen=True)
+class StreamShape:
+    """The dependence skeleton of an instruction window.
+
+    Per instruction: its opcode, its source registers and its
+    destination register (``None`` for stores); plus the read-only
+    opcode mix, the fraction of the window each opcode contributes, in
+    first-appearance order.  That is everything the static passes read
+    of a window (the chain statistics here, the CPI bounds and unit
+    demand of :mod:`repro.model`), so a shape holds no
+    :class:`~repro.isa.instr.Instr` objects.
+    """
+
+    ops: Tuple[Op, ...]
+    srcs: Tuple[Tuple[int, ...], ...]
+    dsts: Tuple[Optional[int], ...]
+    mix: Mapping[Op, float]
+
+    @classmethod
+    def of(cls, instrs: Sequence[Instr]) -> "StreamShape":
+        ops: List[Op] = []
+        srcs: List[Tuple[int, ...]] = []
+        dsts: List[Optional[int]] = []
+        counts: Dict[Op, int] = {}
+        # A register rotation repeats a few source tuples; store each once.
+        shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        for ins in instrs:
+            ops.append(ins.op)
+            s = tuple(ins.srcs)
+            srcs.append(shared.setdefault(s, s))
+            dsts.append(ins.dst)
+            counts[ins.op] = counts.get(ins.op, 0) + 1
+        n = len(ops)
+        return cls(ops=tuple(ops), srcs=tuple(srcs), dsts=tuple(dsts),
+                   mix=MappingProxyType({op: c / n
+                                         for op, c in counts.items()}))
+
+
+def as_shape(instrs: Union[StreamShape, Sequence[Instr]]) -> StreamShape:
+    """``instrs`` itself if it is a shape, else the shape of the window."""
+    return instrs if isinstance(instrs, StreamShape) else StreamShape.of(instrs)
+
+
+def chain_stats(instrs: Union[StreamShape, Sequence[Instr]]) -> ChainStats:
     """RAW-chain statistics of an instruction window.
 
     ``depth[i]`` is the length of the longest dependence chain ending
     at instruction ``i``; the chain width is how many instructions run
     per critical-path step — the realized ILP.
     """
+    shape = as_shape(instrs)
     last_writer: Dict[int, int] = {}
     depth: List[int] = []
     targets = set()
-    for i, ins in enumerate(instrs):
+    for i, (srcs, dst) in enumerate(zip(shape.srcs, shape.dsts)):
         d = 0
-        for src in ins.srcs:
+        for src in srcs:
             w = last_writer.get(src)
             if w is not None and depth[w] > d:
                 d = depth[w]
         depth.append(d + 1)
-        if ins.dst is not None:
-            last_writer[ins.dst] = i
-            targets.add(ins.dst)
-    n = len(instrs)
+        if dst is not None:
+            last_writer[dst] = i
+            targets.add(dst)
+    n = len(shape.ops)
     critical = max(depth) if depth else 0
     width = n / critical if critical else 0.0
     return ChainStats(instructions=n, critical_path=critical,
@@ -82,7 +128,7 @@ def chain_stats(instrs: Sequence[Instr]) -> ChainStats:
 
 def verify_instrs(
     name: str,
-    instrs: Sequence[Instr],
+    instrs: Union[StreamShape, Sequence[Instr]],
     declared_ilp: int,
 ) -> List[Finding]:
     """Check that an instruction window realizes ``declared_ilp`` chains."""
@@ -93,12 +139,11 @@ def verify_instrs(
             message=f"declared ILP {declared_ilp} is not positive",
             hint="|T| must be >= 1 (paper §4)",
         )]
-    arith = [i for i in instrs if not is_mem(i.op)]
-    loads = [i for i in instrs if is_load(i.op)]
-    stores = [i for i in instrs if is_store(i.op)]
+    shape = as_shape(instrs)
+    loads = any(is_load(op) for op in shape.mix)
 
-    if arith and not loads and not stores:
-        stats = chain_stats(arith)
+    if shape.ops and not any(is_mem(op) for op in shape.mix):
+        stats = chain_stats(shape)
         if stats.width < declared_ilp - _WIDTH_TOL:
             findings.append(Finding(
                 check="hazards", severity=Severity.ERROR, site=name,
@@ -128,7 +173,7 @@ def verify_instrs(
                       "critical_path": stats.critical_path},
             ))
     elif loads:
-        stats = chain_stats(list(instrs))
+        stats = chain_stats(shape)
         if stats.distinct_targets != declared_ilp:
             findings.append(Finding(
                 check="hazards", severity=Severity.ERROR, site=name,
@@ -158,6 +203,29 @@ def unroll_stream(spec: StreamSpec, window: int = DEFAULT_WINDOW) -> List[Instr]
     return list(make_stream(bounded, region))
 
 
+def stream_shape(spec: StreamSpec, window: int = DEFAULT_WINDOW) -> StreamShape:
+    """The shape of a stream's bounded window, computed once per process.
+
+    A shape is a pure function of the stream's name, ILP level and
+    unrolled length: stride, site and the scratch region move only
+    addresses and site tags, which a shape does not hold.  So that
+    triple is the memo key, and every static pass that unrolls the
+    same stream shares one shape.
+    """
+    return _shape(spec.name, spec.ilp, min(spec.count, window))
+
+
+@lru_cache(maxsize=None)
+def _shape(name: str, ilp: ILP, count: int) -> StreamShape:
+    return StreamShape.of(unroll_stream(StreamSpec(name, ilp=ilp, count=count),
+                                        count))
+
+
+def clear_shapes() -> None:
+    """Empty the stream-shape memo."""
+    _shape.cache_clear()
+
+
 def verify_stream(
     spec: StreamSpec,
     window: int = DEFAULT_WINDOW,
@@ -166,4 +234,4 @@ def verify_stream(
     """Verify one :class:`StreamSpec`'s declared ILP against its chains."""
     declared = declared_ilp if declared_ilp is not None else spec.ilp.num_targets
     name = f"stream {spec.name!r} ({spec.ilp.name} ILP)"
-    return verify_instrs(name, unroll_stream(spec, window), declared)
+    return verify_instrs(name, stream_shape(spec, window), declared)

@@ -1,7 +1,7 @@
 """Static per-stream CPI bounds (llvm-mca-style, but interval-valued).
 
-From a bounded symbolic unrolling of a stream (reusing
-:func:`repro.check.hazards.unroll_stream`), the machine's
+From the shape of a bounded symbolic unrolling of a stream (reusing
+:func:`repro.check.hazards.stream_shape`), the machine's
 :class:`~repro.cpu.config.CoreConfig`/:class:`~repro.cpu.config.OpTiming`
 timings, and the issue-port map in :data:`repro.cpu.units.ROUTES`, this
 module derives a provable interval ``[lower, upper]`` (cycles per
@@ -29,14 +29,38 @@ bound of exactly 48.0).
 Every term is named; the *binding constraint* of the lower bound (the
 term that sets it) is reported so a bound table reads as an
 explanation — "fdiv: bound by non-pipelined divider interval 76t".
+
+A bound is a pure function of its declared inputs — the stream spec,
+the sibling, the window, the slack and the values of the two configs —
+so each one is derived once per process and then looked up
+(:func:`memoized`); every consumer (the oracle, the report sections,
+``repro model``, ``repro check``, the pair certificates) shares it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, fields
+from types import MappingProxyType
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
-from repro.check.hazards import DEFAULT_WINDOW, unroll_stream
+from repro.check.hazards import (
+    DEFAULT_WINDOW,
+    StreamShape,
+    as_shape,
+    clear_shapes,
+    stream_shape,
+)
 from repro.common.errors import ConfigError
 from repro.cpu.config import CoreConfig
 from repro.cpu.units import ROUTES
@@ -63,6 +87,54 @@ MODEL_STREAMS: Tuple[str, ...] = (
 )
 
 
+_T = TypeVar("_T")
+
+#: The bounds-layer memo: CPI bounds, exclusive-demand tables and pair
+#: envelopes, keyed by value (:func:`config_key`).  Unbounded: its keys
+#: range over the stream set, the ILP levels and the configs one
+#: process uses.
+_MEMO: Dict[tuple, Any] = {}
+
+#: One stored copy of each config key, so the memo's many keys share it.
+_CONFIG_KEYS: Dict[tuple, tuple] = {}
+
+
+def config_key(config: Any) -> tuple:
+    """A hashable key made of a config dataclass's field values.
+
+    Dict fields (``CoreConfig.timings``) enter as sorted items.  The key
+    is built from values, never ``id()``: ``CoreConfig`` is mutable
+    (``unified_queues()`` sets ``partitioned`` after construction), so a
+    config changed between two calls gets its own bound, and two equal
+    configs share one.
+    """
+    key = tuple(
+        (f.name, tuple(sorted(v.items())) if isinstance(v, dict) else v)
+        for f in fields(config) for v in (getattr(config, f.name),))
+    return _CONFIG_KEYS.setdefault(key, key)
+
+
+def memoized(key: tuple, derive: Callable[[], _T]) -> _T:
+    """The value stored under ``key``, derived on first use.
+
+    A derivation that raises stores nothing, so a
+    :class:`~repro.common.errors.ConfigError` is raised again on every
+    call.  Two threads missing the same key both derive it and store
+    equal values, which is harmless.
+    """
+    value = _MEMO.get(key)
+    if value is None:
+        value = _MEMO[key] = derive()
+    return value
+
+
+def clear_memo() -> None:
+    """Empty the bound memo and the stream-shape memo beneath it."""
+    _MEMO.clear()
+    _CONFIG_KEYS.clear()
+    clear_shapes()
+
+
 @dataclass(frozen=True)
 class CPIBound:
     """A provable CPI interval for one stream in one TLP mode.
@@ -70,7 +142,8 @@ class CPIBound:
     ``lower``/``upper`` are in cycles per instruction (slack applied);
     ``binding`` names the constraint that sets the lower bound;
     ``lower_terms``/``upper_terms`` are the raw per-term values in
-    ticks per instruction, pre-slack, for margin tracking.
+    ticks per instruction, pre-slack, for margin tracking; they are
+    read-only, since one bound is shared by every caller.
     """
 
     stream: str
@@ -80,8 +153,8 @@ class CPIBound:
     lower: float
     upper: float
     binding: str
-    lower_terms: Dict[str, float]
-    upper_terms: Dict[str, float]
+    lower_terms: Mapping[str, float]
+    upper_terms: Mapping[str, float]
 
     def contains(self, cpi: float, atol: float = 0.0) -> bool:
         return self.lower - atol <= cpi <= self.upper + atol
@@ -102,16 +175,8 @@ class CPIBound:
         }
 
 
-def _op_mix(instrs: List[Instr]) -> Dict[Op, float]:
-    """Fraction of the unrolled window each opcode contributes."""
-    counts: Dict[Op, int] = {}
-    for ins in instrs:
-        counts[ins.op] = counts.get(ins.op, 0) + 1
-    n = len(instrs)
-    return {op: c / n for op, c in counts.items()}
-
-
-def weighted_critical_path(instrs: List[Instr], cfg: CoreConfig) -> float:
+def weighted_critical_path(instrs: Union[StreamShape, Sequence[Instr]],
+                           cfg: CoreConfig) -> float:
     """Latency ticks along the longest RAW chain, per instruction.
 
     The unweighted variant lives in :func:`repro.check.hazards.chain_stats`;
@@ -119,25 +184,27 @@ def weighted_critical_path(instrs: List[Instr], cfg: CoreConfig) -> float:
     mixed ops (fadd-mul at min ILP) prices out to the mean of the two
     latencies rather than a hop count.
     """
+    shape = as_shape(instrs)
     last_writer: Dict[int, int] = {}
     depth: List[float] = []
-    for i, ins in enumerate(instrs):
+    for i, (op, srcs, dst) in enumerate(zip(shape.ops, shape.srcs,
+                                            shape.dsts)):
         d = 0.0
-        for src in ins.srcs:
+        for src in srcs:
             w = last_writer.get(src)
             if w is not None and depth[w] > d:
                 d = depth[w]
-        timing = cfg.timings.get(ins.op)
+        timing = cfg.timings.get(op)
         lat = float(timing.latency) if timing is not None else 0.0
         depth.append(d + lat)
-        if ins.dst is not None:
-            last_writer[ins.dst] = i
-    if not instrs:
+        if dst is not None:
+            last_writer[dst] = i
+    if not depth:
         return 0.0
-    return max(depth) / len(instrs)
+    return max(depth) / len(depth)
 
 
-def _unit_pressure_terms(mix: Dict[Op, float],
+def _unit_pressure_terms(mix: Mapping[Op, float],
                          cfg: CoreConfig) -> Dict[str, float]:
     """Per-port interval pressure, ticks per instruction.
 
@@ -184,7 +251,7 @@ def _new_line_rate(spec: StreamSpec, mem: MemConfig) -> float:
     return min(spec.stride / mem.line_size, 1.0)
 
 
-def _shares(mix: Dict[Op, float]) -> Tuple[float, float, float]:
+def _shares(mix: Mapping[Op, float]) -> Tuple[float, float, float]:
     """(memory, load, store) instruction shares of the mix."""
     mem_share = sum(s for op, s in mix.items() if is_mem(op))
     load_share = sum(s for op, s in mix.items() if is_load(op))
@@ -193,14 +260,13 @@ def _shares(mix: Dict[Op, float]) -> Tuple[float, float, float]:
 
 
 def _sibling_mix(sibling: Optional[str],
-                 ilp: ILP, window: int) -> Dict[Op, float]:
+                 ilp: ILP, window: int) -> Mapping[Op, float]:
     if sibling is None:
         return {}
-    sib_spec = StreamSpec(sibling, ilp=ilp)
-    return _op_mix(unroll_stream(sib_spec, window))
+    return stream_shape(StreamSpec(sibling, ilp=ilp), window).mix
 
 
-def _sibling_units(mix: Dict[Op, float],
+def _sibling_units(mix: Mapping[Op, float],
                    cfg: CoreConfig) -> Dict[str, float]:
     """unit -> max initiation interval the sibling may hold it for."""
     occupancy: Dict[str, float] = {}
@@ -223,12 +289,13 @@ def stream_bounds(
     window: int = DEFAULT_WINDOW,
     slack: float = MODEL_SLACK,
 ) -> CPIBound:
-    """Compute the provable CPI interval for one stream.
+    """The provable CPI interval for one stream.
 
     ``sibling=None`` is the solo (single-thread) mode; naming a sibling
     stream gives the dual-thread bound for *this* stream co-executing
     with that sibling at the same ILP (the fig.-1 two-thread cells are
-    the ``sibling == stream`` special case).
+    the ``sibling == stream`` special case).  Derived once per process
+    for each distinct set of inputs; the returned bound is shared.
     """
     if isinstance(spec_or_name, StreamSpec):
         spec = spec_or_name
@@ -241,13 +308,21 @@ def stream_bounds(
     mem = mem_config if mem_config is not None else MemConfig()
     if sibling is not None and sibling not in STREAM_OPS:
         raise ConfigError(f"unknown sibling stream {sibling!r}")
+    key = ("bound", spec, sibling, window, slack,
+           config_key(cfg), config_key(mem))
+    return memoized(key, lambda: _derive_bound(spec, sibling, cfg, mem,
+                                               window, slack))
 
-    instrs = unroll_stream(spec, window)
-    mix = _op_mix(instrs)
+
+def _derive_bound(spec: StreamSpec, sibling: Optional[str],
+                  cfg: CoreConfig, mem: MemConfig,
+                  window: int, slack: float) -> CPIBound:
+    shape = stream_shape(spec, window)
+    mix = shape.mix
     missing = sorted(op.name for op in mix if op not in cfg.timings)
     if missing:
         raise ConfigError(f"stream {spec.name!r}: no OpTiming for {missing}")
-    chain = weighted_critical_path(instrs, cfg)
+    chain = weighted_critical_path(shape, cfg)
     mem_share, load_share, store_share = _shares(mix)
     line_rate = _new_line_rate(spec, mem)
     dual = sibling is not None
@@ -317,12 +392,12 @@ def stream_bounds(
         lower=(lower_ticks / 2.0) * (1.0 - slack),
         upper=(upper_ticks / 2.0) * (1.0 + slack),
         binding=binding,
-        lower_terms=lower_terms,
-        upper_terms=upper_terms,
+        lower_terms=MappingProxyType(lower_terms),
+        upper_terms=MappingProxyType(upper_terms),
     )
 
 
-def _describe_binding(name: str, ticks: float, mix: Dict[Op, float],
+def _describe_binding(name: str, ticks: float, mix: Mapping[Op, float],
                       cfg: CoreConfig) -> str:
     """Human phrasing of the binding lower-bound constraint."""
     if name == "raw-chain":

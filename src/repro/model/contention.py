@@ -20,26 +20,41 @@ per-unit demand table it needs is published here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
-from repro.check.hazards import DEFAULT_WINDOW, unroll_stream
+from repro.check.hazards import DEFAULT_WINDOW, stream_shape
 from repro.cpu.config import CoreConfig
 from repro.cpu.units import ROUTES
 from repro.isa.streams import ILP, StreamSpec
 from repro.mem.config import MemConfig
-from repro.model.bounds import MODEL_SLACK, CPIBound, _op_mix, stream_bounds
+from repro.model.bounds import (
+    MODEL_SLACK,
+    CPIBound,
+    config_key,
+    memoized,
+    stream_bounds,
+)
 
 
 def exclusive_demand(name: str, ilp: ILP, cfg: Optional[CoreConfig] = None,
-                     window: int = DEFAULT_WINDOW) -> Dict[str, float]:
+                     window: int = DEFAULT_WINDOW) -> Mapping[str, float]:
     """unit -> ticks of mandatory occupancy per instruction.
 
     Only single-route opcodes contribute: an op that can fall back to a
     second unit has no *provable* per-unit demand.  This is the demand
     table of the joint utilization law ``sum_t demand_u / CPI_t <= 1``.
+    Derived once per process for each set of inputs, like a
+    :class:`CPIBound`; the returned table is read-only.
     """
     cfg = cfg if cfg is not None else CoreConfig()
-    mix = _op_mix(unroll_stream(StreamSpec(name, ilp=ilp), window))
+    return memoized(("demand", name, ilp, window, config_key(cfg)),
+                    lambda: _derive_demand(name, ilp, cfg, window))
+
+
+def _derive_demand(name: str, ilp: ILP, cfg: CoreConfig,
+                   window: int) -> Mapping[str, float]:
+    mix = stream_shape(StreamSpec(name, ilp=ilp), window).mix
     demand: Dict[str, float] = {}
     for op, share in mix.items():
         route = ROUTES.get(op, ())
@@ -47,12 +62,18 @@ def exclusive_demand(name: str, ilp: ILP, cfg: Optional[CoreConfig] = None,
         if len(route) == 1 and timing is not None:
             unit = route[0]
             demand[unit] = demand.get(unit, 0.0) + share * timing.interval
-    return demand
+    return MappingProxyType(demand)
 
 
 @dataclass(frozen=True)
 class PairBound:
-    """CPI and slowdown intervals for one co-executed stream pair."""
+    """CPI and slowdown intervals for one co-executed stream pair.
+
+    ``demand_a``/``demand_b`` are the two streams' exclusive-demand
+    tables (:func:`exclusive_demand`), the one source of the shared-unit
+    set and of the joint utilization law's rows; :meth:`to_dict` leaves
+    them out.
+    """
 
     stream_a: str
     stream_b: str
@@ -61,7 +82,13 @@ class PairBound:
     solo_b: CPIBound
     dual_a: CPIBound
     dual_b: CPIBound
-    shared_units: Tuple[str, ...]   # units both streams *must* use
+    demand_a: Mapping[str, float]
+    demand_b: Mapping[str, float]
+
+    @property
+    def shared_units(self) -> Tuple[str, ...]:
+        """Units both streams *must* use."""
+        return tuple(sorted(u for u in self.demand_a if u in self.demand_b))
 
     def slowdown_a(self) -> Tuple[float, float]:
         """Provable [min, max] of dual_cpi_a / solo_cpi_a."""
@@ -108,19 +135,28 @@ def pair_bounds(
     window: int = DEFAULT_WINDOW,
     slack: float = MODEL_SLACK,
 ) -> PairBound:
-    """Bound both streams of a fig.-2 pair, solo and co-executed."""
-    kw = dict(core_config=core_config, mem_config=mem_config,
-              window=window, slack=slack)
-    solo_a = stream_bounds(name_a, ilp=ilp, **kw)
-    solo_b = stream_bounds(name_b, ilp=ilp, **kw)
-    dual_a = stream_bounds(name_a, ilp=ilp, sibling=name_b, **kw)
-    dual_b = stream_bounds(name_b, ilp=ilp, sibling=name_a, **kw)
-    demand_a = exclusive_demand(name_a, ilp, core_config, window)
-    demand_b = exclusive_demand(name_b, ilp, core_config, window)
-    shared = tuple(sorted(u for u in demand_a if u in demand_b))
+    """Bound both streams of a fig.-2 pair, solo and co-executed.
+
+    Composed from the memoized stream bounds and demand tables, and
+    itself memoized under the same inputs.
+    """
+    cfg = core_config if core_config is not None else CoreConfig()
+    mem = mem_config if mem_config is not None else MemConfig()
+    key = ("pair", name_a, name_b, ilp, window, slack,
+           config_key(cfg), config_key(mem))
+    return memoized(key, lambda: _derive_pair(name_a, name_b, ilp, cfg, mem,
+                                              window, slack))
+
+
+def _derive_pair(name_a: str, name_b: str, ilp: ILP, cfg: CoreConfig,
+                 mem: MemConfig, window: int, slack: float) -> PairBound:
+    kw = dict(core_config=cfg, mem_config=mem, window=window, slack=slack)
     return PairBound(
         stream_a=name_a, stream_b=name_b, ilp=ilp,
-        solo_a=solo_a, solo_b=solo_b,
-        dual_a=dual_a, dual_b=dual_b,
-        shared_units=shared,
+        solo_a=stream_bounds(name_a, ilp=ilp, **kw),
+        solo_b=stream_bounds(name_b, ilp=ilp, **kw),
+        dual_a=stream_bounds(name_a, ilp=ilp, sibling=name_b, **kw),
+        dual_b=stream_bounds(name_b, ilp=ilp, sibling=name_a, **kw),
+        demand_a=exclusive_demand(name_a, ilp, cfg, window),
+        demand_b=exclusive_demand(name_b, ilp, cfg, window),
     )

@@ -36,7 +36,7 @@ from repro.isa.opcodes import is_mem
 from repro.isa.streams import ILP, STREAM_OPS, StreamSpec
 from repro.mem.config import MemConfig
 from repro.model.bounds import CPIBound, stream_bounds
-from repro.model.contention import exclusive_demand, pair_bounds
+from repro.model.contention import pair_bounds
 
 #: Boundary ops chargeable to a finite measurement window.
 _ATOL_OPS = 4.0
@@ -139,8 +139,7 @@ def _validate_pair_cell(cell: Any, result: Any) -> List[Finding]:
             findings.append(_violation(site, bound, cpi, atol))
     # Joint utilization law: a shared unit cannot be driven past one
     # initiation per tick by the two threads combined.
-    da = exclusive_demand(a, ilp, cfg)
-    db = exclusive_demand(b, ilp, cfg)
+    da, db = pb.demand_a, pb.demand_b
     for unit in sorted(set(da) | set(db)):  # check: allow(set-iteration)
         util = (da.get(unit, 0.0) / (cpi_a * 2.0)
                 + db.get(unit, 0.0) / (cpi_b * 2.0))

@@ -17,6 +17,7 @@ import os
 
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
+from repro.common.errors import ConfigError
 from repro.core.coexec import (
     FIG2A_STREAMS,
     FIG2B_STREAMS,
@@ -68,6 +69,17 @@ def _run_raw(pair, ilp, fastpath, counts=None, **run_kw):
 
 # -- the real fig2 measurement harness --------------------------------------
 
+def _pair_outcome(pair, horizon, fastpath):
+    """The CPIs of one run_pair_cpis arm, or its (type, message) when it
+    raises the designed ConfigError: a horizon too short for a slow
+    pair to reach steady state is an outcome both arms must share."""
+    try:
+        return run_pair_cpis(pair[0], pair[1], ILP.MAX,
+                             horizon_ticks=horizon, fastpath=fastpath)
+    except ConfigError as e:
+        return type(e), str(e)
+
+
 @seed(_SEED)
 @settings(max_examples=8, **_COMMON)
 @given(
@@ -76,11 +88,19 @@ def _run_raw(pair, ilp, fastpath, counts=None, **run_kw):
 )
 def test_fig2_pair_cpis_identical(pair, horizon):
     """run_pair_cpis — marker warm-up, endless streams, tick horizon."""
-    off = run_pair_cpis(pair[0], pair[1], ILP.MAX,
-                        horizon_ticks=horizon, fastpath=False)
-    on = run_pair_cpis(pair[0], pair[1], ILP.MAX,
-                       horizon_ticks=horizon, fastpath=True)
+    off = _pair_outcome(pair, horizon, fastpath=False)
+    on = _pair_outcome(pair, horizon, fastpath=True)
     assert off == on
+
+
+def test_fig2_pair_short_horizon_error_identical():
+    """fstore+fstore never reaches steady state in 30,000 ticks: both
+    arms raise the same ConfigError, with or without the fast-forward."""
+    off = _pair_outcome(("fstore", "fstore"), 30_000, fastpath=False)
+    on = _pair_outcome(("fstore", "fstore"), 30_000, fastpath=True)
+    assert off == on
+    assert off[0] is ConfigError
+    assert "did not reach steady state" in off[1]
 
 
 # -- raw runs: full CoreResult + monitor + accountant ------------------------
