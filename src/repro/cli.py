@@ -97,6 +97,7 @@ identical either way, which the equivalence suite asserts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -201,7 +202,14 @@ def _add_sweep_flags(sp: argparse.ArgumentParser) -> None:
                     "$REPRO_TELEMETRY_DIR or .repro-telemetry)")
 
 
+@functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on the first :func:`main` call
+    and reused for every later one (``import repro.cli`` builds none).
+
+    Parsing reads the parser and writes only the returned namespace, so
+    one instance serves every call; no default is a mutable container.
+    """
     p = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce 'Exploring the Performance Limits of SMT "

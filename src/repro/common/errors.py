@@ -56,6 +56,12 @@ class WorkerTimeout(ReproError):
     The message names the cell(s) and the bound that expired."""
 
 
+class WorkerLost(ReproError):
+    """Raised when a pool worker of a CLI sweep dies mid-cell.  The
+    message names the cells that did not finish; nothing of the batch
+    is published."""
+
+
 class SimulationError(ReproError):
     """Raised when the simulated machine reaches an invalid state."""
 

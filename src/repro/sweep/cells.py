@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Dict, Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.sweep.keys import (CACHE_SCHEMA_VERSION, FASTPATH_SCHEMA_VERSION,
-                              cache_key)
+                              canonical_json)
 
 
 @dataclass(frozen=True)
@@ -56,31 +57,82 @@ class SweepCell:
         did change them is a jump-engine defect, invalidated by bumping
         the fast-forward, recurrence or compose schema version.
         """
-        from repro import __version__
-        from repro.check.compose import COMPOSE_SCHEMA_VERSION
-        from repro.check.recurrence import RECURRENCE_SCHEMA_VERSION
-        from repro.cpu.config import CoreConfig
-        from repro.mem.config import MemConfig
-        from repro.model.bounds import MODEL_SCHEMA_VERSION
-
-        core = self.core_config if self.core_config is not None else CoreConfig()
-        mem = self.mem_config if self.mem_config is not None else MemConfig()
-        return {
-            "cell": {"kind": self.kind, "config": self.config},
-            "core_config": core.to_dict(),
-            "mem_config": mem.to_dict(),
-            "cache_schema_version": CACHE_SCHEMA_VERSION,
-            "fastpath_schema_version": FASTPATH_SCHEMA_VERSION,
-            "recurrence_schema_version": RECURRENCE_SCHEMA_VERSION,
-            "compose_schema_version": COMPOSE_SCHEMA_VERSION,
-            # Warm hits skip the oracle, so a model change must
-            # invalidate every entry it vouched for.
-            "model_schema_version": MODEL_SCHEMA_VERSION,
-            "repro_version": __version__,
-        }
+        core, mem, versions = _machine(self)
+        return _material({"kind": self.kind, "config": self.config},
+                         core, mem, versions)
 
     def key(self) -> str:
-        return cache_key(self.key_material())
+        """``cache_key(self.key_material())``, byte for byte.
+
+        Only the cell part is canonicalized per call (``config`` is a
+        mutable dict); the canonical text around it is stored once per
+        machine value (see :func:`_machine_text`).
+        """
+        head, tail = _machine_text(*_machine(self))
+        cell = canonical_json({"kind": self.kind, "config": self.config})
+        return hashlib.sha256(head + cell.encode() + tail).hexdigest()
+
+
+def _machine(cell: SweepCell) -> Tuple[Any, Any, Tuple[Any, ...]]:
+    """The cell's simulated machine (defaults filled in) and the schema
+    versions every key carries."""
+    from repro import __version__
+    from repro.check.compose import COMPOSE_SCHEMA_VERSION
+    from repro.check.recurrence import RECURRENCE_SCHEMA_VERSION
+    from repro.cpu.config import CoreConfig
+    from repro.mem.config import MemConfig
+    from repro.model.bounds import MODEL_SCHEMA_VERSION
+
+    core = cell.core_config if cell.core_config is not None else CoreConfig()
+    mem = cell.mem_config if cell.mem_config is not None else MemConfig()
+    return core, mem, (
+        ("cache_schema_version", CACHE_SCHEMA_VERSION),
+        ("fastpath_schema_version", FASTPATH_SCHEMA_VERSION),
+        ("recurrence_schema_version", RECURRENCE_SCHEMA_VERSION),
+        ("compose_schema_version", COMPOSE_SCHEMA_VERSION),
+        # Warm hits skip the oracle, so a model change must
+        # invalidate every entry it vouched for.
+        ("model_schema_version", MODEL_SCHEMA_VERSION),
+        ("repro_version", __version__),
+    )
+
+
+def _material(cell: Any, core: Any, mem: Any,
+              versions: Tuple[Any, ...]) -> dict:
+    """The key material layout, shared by :meth:`SweepCell.key_material`
+    and :func:`_machine_text`."""
+    return {"cell": cell, "core_config": core.to_dict(),
+            "mem_config": mem.to_dict(), **dict(versions)}
+
+
+#: Stands in for the cell part while a machine's text is canonicalized.
+#: No machine config holds this string; if one did, the split in
+#: :func:`_machine_text` would raise instead of keying wrongly.
+_CELL_SLOT = "\x00cell\x00"
+
+#: Canonical key text before and after the cell part, per machine value.
+_MACHINE_TEXT: Dict[tuple, Tuple[bytes, bytes]] = {}
+
+
+def _machine_text(core: Any, mem: Any,
+                  versions: Tuple[Any, ...]) -> Tuple[bytes, bytes]:
+    """The canonical key text around the cell part, for one machine.
+
+    Stored by value (:func:`repro.model.bounds.config_key`), never by
+    ``id()``: ``CoreConfig`` is mutable (``unified_queues()`` sets
+    ``partitioned`` after construction), so a config changed since its
+    last key gets fresh text, and equal configs share one entry.  A
+    canonicalisation that raises stores nothing.
+    """
+    from repro.model.bounds import config_key
+
+    memo_key = (config_key(core), config_key(mem), versions)
+    text = _MACHINE_TEXT.get(memo_key)
+    if text is None:
+        slotted = canonical_json(_material(_CELL_SLOT, core, mem, versions))
+        head, tail = slotted.split(json.dumps(_CELL_SLOT))
+        text = _MACHINE_TEXT[memo_key] = (head.encode(), tail.encode())
+    return text
 
 
 def cell_label(cell: SweepCell) -> str:

@@ -11,8 +11,10 @@ implemented once in :class:`CellPipeline`:
 2. **preflight** — the static checks (:func:`repro.check.preflight_cells`)
    over the cells that missed;
 3. **execute** — the front end's executor runs the misses (the engine:
-   in-process when ``jobs == 1``, else a per-run ``multiprocessing``
-   pool whose ``map`` preserves submission order);
+   in-process when ``jobs == 1``, else a per-run process-pool
+   executor whose results come back in submission order, and which
+   ends the run with :class:`~repro.common.errors.WorkerLost` the
+   moment a worker dies mid-cell);
 4. **oracle** — the differential model oracle
    (:func:`repro.model.oracle_cells`) over the fresh results;
 5. **publish** — the fresh results go to the cache.
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import __version__
-from repro.common.errors import CheckError, ConfigError
+from repro.common.errors import CheckError, ConfigError, WorkerLost
 from repro.cpu import fastpath as _fastpath
 from repro.sweep.cache import ResultCache
 from repro.sweep.cells import SweepCell, cell_label, runner_for
@@ -126,17 +128,26 @@ def _execute_task(task: Task) -> Tuple[str, dict]:
     return text, meta
 
 
-def _new_pool(processes: int, bus: Optional[TelemetryBus]) -> Any:
-    """A worker pool carrying the parent's fast-forward default and
-    telemetry target (see :func:`_pool_init`)."""
+def _pool_context() -> Any:
+    """The start method every worker pool uses."""
     # Fork keeps the parent's hash seed and registry state in the
     # children; fall back to the platform default elsewhere.
     methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    return ctx.Pool(processes=processes, initializer=_pool_init,
-                    initargs=(_fastpath.default_enabled(),
-                              bus.path if bus is not None else None,
-                              bus.run_id if bus is not None else None))
+    return multiprocessing.get_context("fork" if "fork" in methods else None)
+
+
+def _pool_initargs(bus: Optional[TelemetryBus]) -> tuple:
+    """:func:`_pool_init`'s arguments for a pool serving ``bus``."""
+    return (_fastpath.default_enabled(),
+            bus.path if bus is not None else None,
+            bus.run_id if bus is not None else None)
+
+
+def _new_pool(processes: int, bus: Optional[TelemetryBus]) -> Any:
+    """A persistent worker pool (the daemon's) carrying the parent's
+    fast-forward default and telemetry target (see :func:`_pool_init`)."""
+    return _pool_context().Pool(processes=processes, initializer=_pool_init,
+                                initargs=_pool_initargs(bus))
 
 
 class CellPipeline:
@@ -413,5 +424,26 @@ class SweepEngine(CellPipeline):
                 return [_execute_task(t) for t in tasks]
             finally:
                 _worker_bus = prev
-        with _new_pool(min(self.jobs, len(tasks)), self.telemetry) as pool:
-            return pool.map(_execute_task, tasks)
+        # An executor, not a multiprocessing.Pool: a worker killed
+        # mid-cell breaks the executor at once instead of leaving its
+        # task unanswered forever.  Imported here: it would add about
+        # 10 ms to every CLI start-up, and only --jobs > 1 needs it.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        pool = ProcessPoolExecutor(
+            max_workers=min(self.jobs, len(tasks)),
+            mp_context=_pool_context(), initializer=_pool_init,
+            initargs=_pool_initargs(self.telemetry))
+        try:
+            futures = [pool.submit(_execute_task, t) for t in tasks]
+            try:
+                return [f.result() for f in futures]
+            except BrokenProcessPool:
+                lost = [label for (_i, _cell, label, _ts), f
+                        in zip(tasks, futures) if f.exception() is not None]
+                raise WorkerLost(
+                    f"a pool worker died mid-cell; {len(lost)} cell(s) "
+                    f"did not finish: {', '.join(lost)}") from None
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)

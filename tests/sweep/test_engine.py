@@ -1,11 +1,16 @@
 """Sweep-engine behaviour: ordering, caching, parallel fan-out, errors."""
 
 import json
+import os
+import time
 
 import pytest
 
+from repro import cli
 from repro.common.errors import CacheError, ConfigError
+from repro.sweep import engine as engine_mod
 from repro.isa.streams import ILP
+from repro.serve.targets import resolve_target
 from repro.sweep import ResultCache, SweepEngine, runner_for, stream_cell
 
 #: A tick horizon small enough to keep each cell ~50 ms while still
@@ -123,6 +128,31 @@ class TestCacheErrors:
     def test_unknown_cell_kind(self):
         with pytest.raises(ConfigError, match="unknown sweep-cell kind"):
             runner_for("bogus-kind")
+
+
+def _die_mid_cell(task):
+    """Pool task stand-in: the worker process dies mid-cell."""
+    os._exit(1)
+
+
+class TestDeadWorker:
+    def test_killed_worker_ends_the_cli_run_in_bounded_time(
+            self, tmp_path, monkeypatch, capsys):
+        """A worker that dies mid-cell breaks the pool at once: the run
+        exits 1 with the lost cells named, and publishes nothing."""
+        monkeypatch.setattr(engine_mod, "_execute_task", _die_mid_cell)
+        t0 = time.monotonic()
+        rc = cli.main(["fig1", "--streams", "iadd", "--jobs", "2",
+                       "--no-telemetry", "--cache-dir", str(tmp_path)])
+        assert time.monotonic() - t0 < 10.0
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: a pool worker died mid-cell")
+        assert "stream:iadd/max/t1" in err
+        cache = ResultCache(tmp_path)
+        cells = resolve_target({"target": "fig1", "streams": "iadd"}).cells
+        assert len(cells) == 6
+        assert all(cache.get(cell.key()) is None for cell in cells)
 
 
 class TestStatsAccounting:

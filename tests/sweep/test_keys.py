@@ -198,3 +198,82 @@ class TestKeysFromDeclaredInputs:
         monkeypatch.setattr(mod, constant, getattr(mod, constant) + 1)
         after = [c.key() for c in cells]
         assert all(a != b for a, b in zip(before, after))
+
+
+def _shipped_cells():
+    """Every cell of every shipped target, plus the ablations' machine
+    overrides."""
+    from repro.core.apps import APP_SIZES, app_cells
+    from repro.serve.targets import resolve_target
+
+    cells = list(resolve_target({"target": "fig1"}).cells)
+    for panel in ("a", "b", "c"):
+        for ilp in ("min", "med", "max"):
+            cells += resolve_target({"target": "fig2", "panel": panel,
+                                     "ilp": ilp}).cells
+    for app in sorted(APP_SIZES):
+        cells += app_cells(app)
+    cells += resolve_target({"target": "table1"}).cells
+    cells += app_cells("mm", sizes=[{"n": 16}],
+                       core_config=CoreConfig.unified_queues())
+    cells += app_cells("mm", sizes=[{"n": 16}],
+                       mem_config=MemConfig.no_prefetch())
+    return cells
+
+
+class TestMemoizedMachineForm:
+    """``SweepCell.key`` stores the canonical machine part once per
+    config value; every key stays ``cache_key(key_material())``."""
+
+    def test_every_shipped_key_equals_the_material_hash(self):
+        cells = _shipped_cells()
+        keys = [cell.key() for cell in cells]
+        assert keys == [cache_key(cell.key_material()) for cell in cells]
+
+    def test_equal_machines_share_one_stored_form(self):
+        from repro.sweep import cells as cells_mod
+
+        stream_cell("iadd", ILP.MAX, 1, core_config=CoreConfig()).key()
+        stored = len(cells_mod._MACHINE_TEXT)
+        for core in (CoreConfig(), CoreConfig.paper_default(), None):
+            stream_cell("fadd", ILP.MIN, 2, core_config=core).key()
+        assert len(cells_mod._MACHINE_TEXT) == stored
+
+    def test_core_config_mutated_after_its_first_key(self):
+        from repro.cpu.config import OpTiming
+        from repro.isa.opcodes import Op
+
+        core = CoreConfig()
+        cell = stream_cell("fadd", ILP.MAX, 1, horizon_ticks=1000,
+                           core_config=core)
+        default = cell.key()
+        core.partitioned = False
+        unified = cell.key()
+        assert unified == cache_key(cell.key_material())
+        assert unified != default
+        assert unified == stream_cell(
+            "fadd", ILP.MAX, 1, horizon_ticks=1000,
+            core_config=CoreConfig.unified_queues()).key()
+        core.timings[Op.FADD] = OpTiming(10, 2)
+        retimed = cell.key()
+        assert retimed == cache_key(cell.key_material())
+        assert retimed not in (default, unified)
+
+    def test_mem_config_override_gets_its_own_key(self):
+        base = app_cell("lu", Variant.SERIAL, {"n": 16})
+        override = app_cell("lu", Variant.SERIAL, {"n": 16},
+                            mem_config=MemConfig.no_prefetch())
+        assert override.key() == cache_key(override.key_material())
+        assert override.key() != base.key()
+        assert base.key() == app_cell("lu", Variant.SERIAL,
+                                      {"n": 16}).key()
+
+    def test_ambiguous_config_raises_on_every_call(self):
+        from repro.sweep import SweepCell
+
+        cell = SweepCell("stream-cpi", {1: "int", "1": "str"})
+        for _ in range(2):
+            with pytest.raises(ValueError, match="ambiguous"):
+                cell.key()
+        with pytest.raises(ValueError, match="ambiguous"):
+            cache_key(cell.key_material())
