@@ -3,7 +3,8 @@
 Standalone (``python benchmarks/bench_core.py``): runs the figure-1
 stream sweep, a figure-2 co-execution subset, the memory-bound pair
 section and the tiled app workloads (mm/lu/cg/bt, SERIAL) twice —
-fast-forward off (every tick stepped) and on — and records wall
+fast-forward off (no jumps; every tick stepped but the quiet ones the
+core's exact time advance crosses) and on — and records wall
 seconds, cells/sec, simulated ticks/sec and the speedup next to this
 file.  Both arms'
 results are asserted equal before any number is written (the
@@ -17,6 +18,10 @@ super-period detection for dual-stream cells, with the fast-forward on
 in both arms, again at asserted-equal results.  Tiled apps have no
 such A/B: they capture only where their recurrence certificate
 (:mod:`repro.check.recurrence`) says to, so there is no dynamic arm.
+
+``--layer NAME`` names the layer a change moved (for example
+``"stepping: time advance"``); a full run stores it as the report's
+``layer``, so the ledger row says what the timing is evidence for.
 
 ``--smoke`` reruns only the small ``quick`` section and fails (exit 1)
 if its speedup regressed more than 25% against the committed
@@ -278,11 +283,15 @@ def main(argv=None) -> int:
     ap.add_argument("--smoke", action="store_true",
                     help="rerun only the quick section and fail on a "
                          ">25%% speedup regression vs BENCH_core.json")
+    ap.add_argument("--layer", metavar="NAME",
+                    help="the layer this run's change moved, stored in "
+                         "the report and its ledger row")
     args = ap.parse_args(argv)
     if args.smoke:
         return smoke()
     report = {
         "bench": "core",
+        **({"layer": args.layer} if args.layer else {}),
         "fastpath_schema_version": FASTPATH_SCHEMA_VERSION,
         "quick": _ab(_quick),
         "fig1_sweep": _ab(_fig1),
