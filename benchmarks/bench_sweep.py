@@ -52,14 +52,20 @@ def _timed(fn):
 
 
 def run_bench(quick: bool = False, log_dir=None) -> dict:
+    """Run the benchmark; event logs and the replay cache go to
+    ``log_dir``, or to a temporary directory removed afterwards."""
+    if log_dir is not None:
+        return _measure(quick, pathlib.Path(log_dir))
+    with tempfile.TemporaryDirectory(prefix="bench-sweep-") as scratch:
+        return _measure(quick, pathlib.Path(scratch))
+
+
+def _measure(quick: bool, scratch: pathlib.Path) -> dict:
     kwargs = ({"streams": QUICK_STREAMS, "horizon_ticks": QUICK_HORIZON}
               if quick else {})
 
     def sweep(engine):
         return fig1_sweep(engine=engine, **kwargs)
-
-    scratch = pathlib.Path(log_dir if log_dir is not None
-                           else tempfile.mkdtemp(prefix="bench-sweep-"))
 
     def arm_off():
         return _timed(lambda: sweep(SweepEngine(check=False)))

@@ -90,6 +90,25 @@ it and the counters of earlier boundaries applied, and a jump ends the
 stretch.  With neither attached, the counters are added in bulk.
 ``tests/cpu/test_quiet_skip.py`` checks that skipping and stepping
 give equal results.
+
+Per-µop interpreter cost
+------------------------
+A stepped µop is touched about fifteen times on its way through the
+generators, ``Instr.__init__``, fetch, allocate, issue, complete and
+retire, so a constant cost per touch adds up.  The modules on that path
+never read an enum member inside a function: each member they use is
+bound once at import (``_ILOAD = Op.ILOAD``), and the stages compare
+with ``is`` against that module constant, the same object.  The reason
+is that on Python 3.10 and 3.11 ``EnumType`` defines ``__getattr__``,
+so every ``Op.ILOAD`` in a function body runs a Python-level slot that
+the interpreter cannot specialise: about 95 ns per load on 3.11.7,
+against about 2 ns for a module global (one million loads in a loop,
+2-vCPU x86-64 VM).  3.12 dropped that ``__getattr__``, so there the
+rule is worth less, but it costs nothing.
+``tests/cpu/test_enum_binding.py`` enforces it.  For the same reason a
+unit issue is one call: ``UnitPool.try_issue`` picks the unit and
+applies the thread-switch penalty itself, and it is the only code that
+does; ``_issue`` binds it once per call.
 """
 
 from __future__ import annotations
@@ -113,6 +132,23 @@ from repro.observe.tracer import NULL_TRACER, Tracer
 from repro.perfmon import Event, PerfMonitor
 
 _SEQ = attrgetter("seq")
+
+# Enum members the stages read, bound once at import (module docstring,
+# "Per-µop interpreter cost").
+_ILOAD, _ISTORE, _FLOAD, _FSTORE = Op.ILOAD, Op.ISTORE, Op.FLOAD, Op.FSTORE
+_PAUSE, _HALT, _PREFETCH = Op.PAUSE, Op.HALT, Op.PREFETCH
+_ACTIVE, _HALTED, _DONE = ThreadState.ACTIVE, ThreadState.HALTED, ThreadState.DONE
+_CYCLES_ACTIVE = Event.CYCLES_ACTIVE
+_UOPS_FETCHED = Event.UOPS_FETCHED
+_UOPS_RETIRED = Event.UOPS_RETIRED
+_PAUSE_RETIRED = Event.PAUSE_RETIRED
+_HALT_TRANSITIONS = Event.HALT_TRANSITIONS
+_IPI_SENT = Event.IPI_SENT
+_PIPELINE_FLUSH = Event.PIPELINE_FLUSH
+_SW_PREFETCH_ISSUED = Event.SW_PREFETCH_ISSUED
+_RESOURCE_STALL_SB = Event.RESOURCE_STALL_SB
+_RESOURCE_STALL_LQ = Event.RESOURCE_STALL_LQ
+_RESOURCE_STALL_ROB = Event.RESOURCE_STALL_ROB
 
 
 @dataclass
@@ -181,6 +217,7 @@ class SMTCore:
         self._full_caps = (cfg.uopq_total, cfg.rob_total,
                            cfg.loadq_total, cfg.storeq_total)
         self._half_caps = tuple(c // 2 for c in self._full_caps)
+        self._partitioned = cfg.partitioned
         self.threads: list[ThreadContext] = []
         self._peers: list[Optional[ThreadContext]] = []
         self._n_done = 0
@@ -265,9 +302,9 @@ class SMTCore:
         now = self.tick if now is None else now
         th = self.threads[tid]
         cfg = self.config
-        self.monitor.raw[Event.IPI_SENT][tid] += 1
+        self.monitor.raw[_IPI_SENT][tid] += 1
         resume = now + cfg.ipi_latency + cfg.halt_exit_ticks
-        if th.state is ThreadState.HALTED:
+        if th.state is _HALTED:
             if resume < th.wake_at:
                 th.wake_at = resume
         else:
@@ -281,7 +318,7 @@ class SMTCore:
         gate = self.tick + ticks
         if gate > th.fetch_gate_until:
             th.fetch_gate_until = gate
-        self.monitor.raw[Event.PIPELINE_FLUSH][tid] += 1
+        self.monitor.raw[_PIPELINE_FLUSH][tid] += 1
 
     # ------------------------------------------------------------------
     # Main loop
@@ -394,16 +431,16 @@ class SMTCore:
 
     def _process_wakes(self, t: int) -> None:
         for th in self.threads:
-            if th.state is ThreadState.HALTED:
+            if th.state is _HALTED:
                 if th.wake_at <= t:
-                    th.state = ThreadState.ACTIVE
+                    th.state = _ACTIVE
                     th.wake_at = _FAR_FUTURE
                     th.wake_pending = False
                     th.fetch_gate_until = t
                     if self._tr is not None:
                         self._tr.wake(t, th.tid)
-            elif th.state is ThreadState.ACTIVE and not th.halt_inflight:
-                self.monitor.raw[Event.CYCLES_ACTIVE][th.tid] += 1
+            elif th.state is _ACTIVE and not th.halt_inflight:
+                self.monitor.raw[_CYCLES_ACTIVE][th.tid] += 1
 
     def _rr_order(self) -> tuple[ThreadContext, ...]:
         """Threads in round-robin order; advances the shared pointer."""
@@ -417,8 +454,8 @@ class SMTCore:
     def _retire(self, t: int) -> None:
         budget = self.config.retire_width
         tr = self._tr
-        retired_counts = self.monitor.raw[Event.UOPS_RETIRED]
-        pause_counts = self.monitor.raw[Event.PAUSE_RETIRED]
+        retired_counts = self.monitor.raw[_UOPS_RETIRED]
+        pause_counts = self.monitor.raw[_PAUSE_RETIRED]
         for th in self._rr_order():
             if budget <= 0:
                 break
@@ -434,29 +471,29 @@ class SMTCore:
                 retired_counts[th.tid] += 1
                 if tr is not None:
                     tr.retire(t, th.tid, uop)
-                if op is Op.ISTORE or op is Op.FSTORE:
+                if op is _ISTORE or op is _FSTORE:
                     if uop.effect is not None:
                         uop.effect()
                     self._drain_q.append(uop)
-                elif op is Op.ILOAD or op is Op.FLOAD:
+                elif op is _ILOAD or op is _FLOAD:
                     th.lq_used -= 1
-                elif op is Op.PAUSE:
+                elif op is _PAUSE:
                     pause_counts[th.tid] += 1
-                elif op is Op.HALT:
+                elif op is _HALT:
                     self._enter_halt(th, t)
             if (
                 th.gen_done
-                and th.state is ThreadState.ACTIVE
+                and th.state is _ACTIVE
                 and th.pipeline_empty()
             ):
-                th.state = ThreadState.DONE
+                th.state = _DONE
                 th.done_tick = t
                 self._n_done += 1
 
     def _enter_halt(self, th: ThreadContext, t: int) -> None:
         th.halt_inflight = False
-        th.state = ThreadState.HALTED
-        self.monitor.raw[Event.HALT_TRANSITIONS][th.tid] += 1
+        th.state = _HALTED
+        self.monitor.raw[_HALT_TRANSITIONS][th.tid] += 1
         if self._tr is not None:
             self._tr.halt(t, th.tid)
         if th.wake_pending:
@@ -478,7 +515,7 @@ class SMTCore:
             if tr is not None:
                 tr.complete(t, uop.thread, uop)
             op = uop.op
-            if uop.effect is not None and op is not Op.ISTORE and op is not Op.FSTORE:
+            if uop.effect is not None and op is not _ISTORE and op is not _FSTORE:
                 uop.effect()
 
     def _drain_stores(self, t: int) -> None:
@@ -510,7 +547,7 @@ class SMTCore:
     def _issue(self, t: int) -> None:
         budget = self.config.issue_width
         window = self.config.sched_window
-        units = self.units
+        try_issue = self.units.try_issue
         hierarchy = self.hierarchy
         heap = self._comp_heap
         threads = self.threads
@@ -553,18 +590,18 @@ class SMTCore:
                 if blocked & bit:
                     i += 1
                     continue
-                ok, comp = units.try_issue(op, t, tid)
+                ok, comp = try_issue(op, t, tid)
                 if not ok:
                     blocked |= bit
                     i += 1
                     continue
-                if op is Op.ILOAD or op is Op.FLOAD:
+                if op is _ILOAD or op is _FLOAD:
                     access = hierarchy.load(uop.addr, tid, t, uop.site)
                     comp += access.latency
-                elif op is Op.PREFETCH:
+                elif op is _PREFETCH:
                     hierarchy.swprefetch(uop.addr, tid, t)
-                    self.monitor.raw[Event.SW_PREFETCH_ISSUED][tid] += 1
-                elif op is Op.HALT:
+                    self.monitor.raw[_SW_PREFETCH_ISSUED][tid] += 1
+                elif op is _HALT:
                     comp = t + self.config.halt_enter_ticks
                 uop.issued = True
                 del ready[i]
@@ -601,8 +638,9 @@ class SMTCore:
     def _caps(self, th: ThreadContext) -> tuple[int, ...]:
         """``th``'s (µop queue, ROB, load queue, store queue) capacity."""
         peer = self._peers[th.tid]
-        if self.config.partitioned:
-            if peer is not None and peer.occupies_partition:
+        if self._partitioned:
+            # A halted or finished peer has released its halves (§3.1).
+            if peer is not None and peer.state is _ACTIVE:
                 return self._half_caps
             return self._full_caps
         if peer is None:
@@ -622,7 +660,7 @@ class SMTCore:
             if budget <= 0:
                 break
             uopq = th.uopq
-            if not uopq or th.state is not ThreadState.ACTIVE:
+            if not uopq or th.state is not _ACTIVE:
                 continue
             # Under unified queues the peer's usage sets the caps, so
             # they are read at this thread's turn, after the peer's.
@@ -636,11 +674,11 @@ class SMTCore:
                 if len(rob) >= rob_cap:
                     break
                 op = uop.op
-                if op is Op.ILOAD or op is Op.FLOAD:
+                if op is _ILOAD or op is _FLOAD:
                     if th.lq_used >= lq_cap:
                         break
                     th.lq_used += 1
-                elif op is Op.ISTORE or op is Op.FSTORE:
+                elif op is _ISTORE or op is _FSTORE:
                     if th.sq_used >= sq_cap:
                         break
                     th.sq_used += 1
@@ -682,26 +720,26 @@ class SMTCore:
         """Per-cycle allocator-stall accounting (the paper's metric)."""
         mon = self.monitor.raw
         for th in self.threads:
-            if th.state is not ThreadState.ACTIVE or not th.uopq:
+            if th.state is not _ACTIVE or not th.uopq:
                 continue
             op = th.uopq[0].op
             _, rob_cap, lq_cap, sq_cap = self._caps(th)
-            if op is Op.ISTORE or op is Op.FSTORE:
+            if op is _ISTORE or op is _FSTORE:
                 if th.sq_used >= sq_cap:
-                    mon[Event.RESOURCE_STALL_SB][th.tid] += 1
+                    mon[_RESOURCE_STALL_SB][th.tid] += 1
                     continue
-            elif op is Op.ILOAD or op is Op.FLOAD:
+            elif op is _ILOAD or op is _FLOAD:
                 if th.lq_used >= lq_cap:
-                    mon[Event.RESOURCE_STALL_LQ][th.tid] += 1
+                    mon[_RESOURCE_STALL_LQ][th.tid] += 1
                     continue
             if len(th.rob) >= rob_cap:
-                mon[Event.RESOURCE_STALL_ROB][th.tid] += 1
+                mon[_RESOURCE_STALL_ROB][th.tid] += 1
 
     def _fetch(self, t: int) -> None:
         budget = self.config.fetch_width
         cfg = self.config
         tr = self._tr
-        fetched_counts = self.monitor.raw[Event.UOPS_FETCHED]
+        fetched_counts = self.monitor.raw[_UOPS_FETCHED]
         for th in self._rr_order():
             if budget <= 0:
                 break
@@ -730,10 +768,10 @@ class SMTCore:
                     for instr in batch:
                         uopq.append(instr)
                         op = instr.op
-                        if op is Op.PAUSE:
+                        if op is _PAUSE:
                             th.fetch_gate_until = t + cfg.pause_fetch_gate
                             gated = True
-                        elif op is Op.HALT:
+                        elif op is _HALT:
                             th.halt_inflight = True
                             th.fetch_gate_until = _FAR_FUTURE
                             gated = True
@@ -751,11 +789,11 @@ class SMTCore:
                 if tr is not None:
                     tr.fetch(t, th.tid, instr)
                 op = instr.op
-                if op is Op.PAUSE:
+                if op is _PAUSE:
                     # De-pipeline the spin loop: stop fetching for a while.
                     th.fetch_gate_until = t + cfg.pause_fetch_gate
                     break
-                if op is Op.HALT:
+                if op is _HALT:
                     # Nothing may be fetched past a halt until the IPI.
                     th.halt_inflight = True
                     th.fetch_gate_until = _FAR_FUTURE
@@ -776,9 +814,9 @@ class SMTCore:
         all_done = True
         for th in self.threads:
             state = th.state
-            if state is not ThreadState.DONE:
+            if state is not _DONE:
                 all_done = False
-            if state is ThreadState.ACTIVE:
+            if state is _ACTIVE:
                 if th.uopq or th.waiting:
                     if self._moved_at == t:
                         return t + 1
@@ -812,9 +850,9 @@ class SMTCore:
                 if rel:
                     nxt = min(nxt, rel[0])
         for th in self.threads:
-            if th.state is ThreadState.HALTED and th.wake_at < _FAR_FUTURE:
+            if th.state is _HALTED and th.wake_at < _FAR_FUTURE:
                 nxt = min(nxt, th.wake_at)
-            if th.state is ThreadState.ACTIVE and not th.gen_done:
+            if th.state is _ACTIVE and not th.gen_done:
                 nxt = min(nxt, th.fetch_gate_until)
         if nxt <= t:
             return t + 1
@@ -823,10 +861,10 @@ class SMTCore:
             # surviving thread is halted with no wake-up scheduled is
             # deadlocked; otherwise jump straight to the horizon, where
             # run()'s stop/limit checks take over.
-            alive = [th for th in self.threads if th.state is not ThreadState.DONE]
+            alive = [th for th in self.threads if th.state is not _DONE]
             if (
                 alive
-                and all(th.state is ThreadState.HALTED for th in alive)
+                and all(th.state is _HALTED for th in alive)
                 and all(th.wake_at >= _FAR_FUTURE for th in alive)
             ):
                 raise DeadlockError(
@@ -880,16 +918,16 @@ class SMTCore:
             if rob and rob[0].completed:
                 return t1                   # a retirement
             state = th.state
-            if state is ThreadState.ACTIVE:
+            if state is _ACTIVE:
                 uopq = th.uopq
                 uopq_cap, rob_cap, lq_cap, sq_cap = self._caps(th)
                 if uopq:
                     if len(rob) < rob_cap:
                         op = uopq[0].op
-                        if op is Op.ILOAD or op is Op.FLOAD:
+                        if op is _ILOAD or op is _FLOAD:
                             if th.lq_used < lq_cap:
                                 return t1   # an allocation
-                        elif op is Op.ISTORE or op is Op.FSTORE:
+                        elif op is _ISTORE or op is _FSTORE:
                             if th.sq_used < sq_cap:
                                 return t1
                         else:
@@ -902,7 +940,7 @@ class SMTCore:
                         return t1           # a fetch
                     if c < nxt:
                         nxt = c
-            elif state is ThreadState.HALTED:
+            elif state is _HALTED:
                 c = th.wake_at
                 if c <= t1:
                     return t1
@@ -952,21 +990,21 @@ class SMTCore:
         mon = self.monitor.raw
         counts = []
         for th in self.threads:
-            if th.state is not ThreadState.ACTIVE:
+            if th.state is not _ACTIVE:
                 continue
             tid = th.tid
             if not th.halt_inflight:
-                counts.append((mon[Event.CYCLES_ACTIVE], tid))
+                counts.append((mon[_CYCLES_ACTIVE], tid))
             if th.uopq:
                 # The head cannot allocate: its queue or the ROB is full.
                 op = th.uopq[0].op
                 _, _, lq_cap, sq_cap = self._caps(th)
-                if (op is Op.ISTORE or op is Op.FSTORE) and th.sq_used >= sq_cap:
-                    counts.append((mon[Event.RESOURCE_STALL_SB], tid))
-                elif (op is Op.ILOAD or op is Op.FLOAD) and th.lq_used >= lq_cap:
-                    counts.append((mon[Event.RESOURCE_STALL_LQ], tid))
+                if (op is _ISTORE or op is _FSTORE) and th.sq_used >= sq_cap:
+                    counts.append((mon[_RESOURCE_STALL_SB], tid))
+                elif (op is _ILOAD or op is _FLOAD) and th.lq_used >= lq_cap:
+                    counts.append((mon[_RESOURCE_STALL_LQ], tid))
                 else:
-                    counts.append((mon[Event.RESOURCE_STALL_ROB], tid))
+                    counts.append((mon[_RESOURCE_STALL_ROB], tid))
         flip = self._rr_pairs is not None
         fp = self._fp_live
         acct = self._acct

@@ -23,6 +23,11 @@ class ThreadState(enum.Enum):
     DONE = "done"        # generator exhausted and pipeline drained
 
 
+# Enum members bound once at import (cpu/core.py, "Per-µop interpreter
+# cost").
+_ACTIVE = ThreadState.ACTIVE
+
+
 class ThreadContext:
     __slots__ = (
         "tid",
@@ -55,7 +60,7 @@ class ThreadContext:
         # let the core fetch whole batches without per-µop generator
         # resumption.
         self.batched = callable(getattr(gen, "take", None))
-        self.state = ThreadState.ACTIVE
+        self.state = _ACTIVE
         self.uopq: deque[Instr] = deque()
         self.rob: deque[Instr] = deque()
         # Allocated, not yet issued µops in age order; ``ready`` is the
@@ -79,22 +84,9 @@ class ThreadContext:
 
     # ------------------------------------------------------------------
 
-    @property
-    def active(self) -> bool:
-        return self.state is ThreadState.ACTIVE
-
-    @property
-    def occupies_partition(self) -> bool:
-        """True while this thread's queue halves are reserved for it.
-
-        A halted or finished logical CPU has relinquished its statically
-        partitioned entries (the `halt` behaviour of §3.1).
-        """
-        return self.state is ThreadState.ACTIVE
-
     def can_fetch(self, tick: int) -> bool:
         return (
-            self.state is ThreadState.ACTIVE
+            self.state is _ACTIVE
             and not self.gen_done
             and tick >= self.fetch_gate_until
         )

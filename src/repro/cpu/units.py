@@ -20,11 +20,13 @@ from repro.isa.opcodes import Op
 
 
 class ExecUnit:
-    """One execution unit with per-op initiation intervals.
+    """One execution unit's issue state.
 
-    ``try_issue`` implements pipelining: the unit accepts a new µop when
-    the previous one's initiation interval has elapsed; a non-pipelined op
-    simply has interval == latency.
+    ``next_free`` is the first tick the unit accepts another µop (the
+    previous op's initiation interval has elapsed; a non-pipelined op
+    simply has interval == latency), ``last_tid`` the thread it last
+    issued for.  ``UnitPool.try_issue`` is the only code that changes
+    them while stepping.
     """
 
     __slots__ = ("name", "next_free", "last_tid")
@@ -33,27 +35,6 @@ class ExecUnit:
         self.name = name
         self.next_free = 0
         self.last_tid = -1
-
-    def can_issue(self, tick: int) -> bool:
-        return tick >= self.next_free
-
-    def issue(self, tick: int, timing: OpTiming, tid: int,
-              switch_penalty: float) -> int:
-        """Occupy the unit; returns the completion tick.
-
-        Switching a *busy* unit between hardware threads costs a fraction
-        of the op's initiation interval (pipeline drain between
-        contexts).  A unit that has gone idle since its last op switches
-        for free — so sparse latency-bound chains (min-ILP streams)
-        interleave perfectly, while back-to-back contention pays.
-        """
-        penalty = 0
-        if tid != self.last_tid:
-            if self.last_tid >= 0 and tick < self.next_free + timing.interval:
-                penalty = int(timing.interval * switch_penalty)
-            self.last_tid = tid
-        self.next_free = tick + timing.interval + penalty
-        return tick + timing.latency + penalty
 
     def reset(self) -> None:
         self.next_free = 0
@@ -115,20 +96,37 @@ class UnitPool:
         Returns ``(issued, completion_tick)``; for loads the returned
         completion tick excludes memory latency (the core adds the
         hierarchy's answer).
+
+        Of the free units on the op's route, one this thread used last
+        is preferred (it avoids the switch drain), else the first in
+        route order.  Switching a *busy* unit between hardware threads
+        costs a fraction of the op's initiation interval (pipeline drain
+        between contexts).  A unit that has gone idle since its last op
+        switches for free, so sparse latency-bound chains (min-ILP
+        streams) interleave perfectly, while back-to-back contention
+        pays.
         """
         timing, route = self.dispatch[op]
-        # Prefer a unit this thread used last (avoids the switch drain).
-        for unit in route:
-            if tick >= unit.next_free and unit.last_tid == tid:
-                comp = unit.issue(tick, timing, tid, self._switch_penalty)
-                self.issue_counts[unit.name] += 1
-                return True, comp
+        chosen = None
         for unit in route:
             if tick >= unit.next_free:
-                comp = unit.issue(tick, timing, tid, self._switch_penalty)
-                self.issue_counts[unit.name] += 1
-                return True, comp
-        return False, 0
+                if unit.last_tid == tid:
+                    chosen = unit
+                    break
+                if chosen is None:
+                    chosen = unit
+        if chosen is None:
+            return False, 0
+        interval = timing.interval
+        penalty = 0
+        last = chosen.last_tid
+        if last != tid:
+            if last >= 0 and tick < chosen.next_free + interval:
+                penalty = int(interval * self._switch_penalty)
+            chosen.last_tid = tid
+        chosen.next_free = tick + interval + penalty
+        self.issue_counts[chosen.name] += 1
+        return True, tick + timing.latency + penalty
 
     def reset(self) -> None:
         for unit in self.units.values():

@@ -24,6 +24,10 @@ from repro.isa.opcodes import Op, is_mem, is_store
 
 EMPTY: tuple[int, ...] = ()
 
+# Enum members bound once at import (cpu/core.py, "Per-µop interpreter
+# cost").
+_PREFETCH = Op.PREFETCH
+
 
 class Instr:
     """A single µop.
@@ -96,7 +100,7 @@ class Instr:
         self.deps = EMPTY
         self.completed = False
         self.issued = False
-        if addr is None and (is_mem(op) or op is Op.PREFETCH):
+        if addr is None and (is_mem(op) or op is _PREFETCH):
             raise ValueError(f"{op.name} requires an address")
         if dst is None and not (is_store(op) or op in _NO_DST_OK):
             raise ValueError(f"{op.name} requires a destination register")

@@ -26,6 +26,19 @@ from repro.mem.config import MemConfig
 from repro.mem.prefetch import AdjacentLinePrefetcher
 from repro.perfmon import Event, PerfMonitor
 
+# Enum members bound once at import (cpu/core.py, "Per-µop interpreter
+# cost").
+_L1D_READ_ACCESS = Event.L1D_READ_ACCESS
+_L1D_READ_MISS = Event.L1D_READ_MISS
+_L1D_WRITE_ACCESS = Event.L1D_WRITE_ACCESS
+_L1D_WRITE_MISS = Event.L1D_WRITE_MISS
+_L2_READ_ACCESS = Event.L2_READ_ACCESS
+_L2_READ_MISS = Event.L2_READ_MISS
+_L2_WRITE_ACCESS = Event.L2_WRITE_ACCESS
+_L2_WRITE_MISS = Event.L2_WRITE_MISS
+_L2_PREFETCH_FILL = Event.L2_PREFETCH_FILL
+_L2_WRITEBACK = Event.L2_WRITEBACK
+
 
 @dataclass(frozen=True)
 class AccessResult:
@@ -74,11 +87,11 @@ class MemoryHierarchy:
         cfg = self.config
         mon = self.monitor.raw
         line = addr // cfg.line_size
-        mon[Event.L1D_READ_ACCESS][cpu] += 1
+        mon[_L1D_READ_ACCESS][cpu] += 1
         if self.l1.lookup(line):
             return AccessResult(cfg.l1_latency, 1)
-        mon[Event.L1D_READ_MISS][cpu] += 1
-        mon[Event.L2_READ_ACCESS][cpu] += 1
+        mon[_L1D_READ_MISS][cpu] += 1
+        mon[_L2_READ_ACCESS][cpu] += 1
         port_delay = self._l2_port(now)
         if self.l2.lookup(line):
             latency = (cfg.l2_latency + port_delay
@@ -91,7 +104,7 @@ class MemoryHierarchy:
                 )
             return AccessResult(latency, 2)
         # L2 read miss — the event the paper's counters report.
-        mon[Event.L2_READ_MISS][cpu] += 1
+        mon[_L2_READ_MISS][cpu] += 1
         if self.profiler is not None:
             self.profiler.record(site, line, cpu)
         latency = port_delay + self._memory_access(now)
@@ -107,7 +120,7 @@ class MemoryHierarchy:
         mon = self.monitor.raw
         for pline in lines:
             if not self.l2.contains(pline):
-                mon[Event.L2_PREFETCH_FILL][cpu] += 1
+                mon[_L2_PREFETCH_FILL][cpu] += 1
                 self._fill_l2(pline, cpu, dirty=False)
                 self._pf_pending[pline] = now + self._memory_access(now)
                 self._pf_tag.add(pline)
@@ -117,18 +130,18 @@ class MemoryHierarchy:
         cfg = self.config
         mon = self.monitor.raw
         line = addr // cfg.line_size
-        mon[Event.L1D_WRITE_ACCESS][cpu] += 1
+        mon[_L1D_WRITE_ACCESS][cpu] += 1
         if self.l1.lookup(line, write=True):
             return AccessResult(cfg.l1_latency, 1)
-        mon[Event.L1D_WRITE_MISS][cpu] += 1
-        mon[Event.L2_WRITE_ACCESS][cpu] += 1
+        mon[_L1D_WRITE_MISS][cpu] += 1
+        mon[_L2_WRITE_ACCESS][cpu] += 1
         port_delay = self._l2_port(now)
         if self.l2.lookup(line, write=True):
             latency = (cfg.l2_latency + port_delay
                        + self._pending_delay(line, now))
             self._fill_l1(line, cpu, dirty=True)
             return AccessResult(latency, 2)
-        mon[Event.L2_WRITE_MISS][cpu] += 1
+        mon[_L2_WRITE_MISS][cpu] += 1
         latency = port_delay + self._memory_access(now)
         self._fill_l2(line, cpu, dirty=True)
         self._fill_l1(line, cpu, dirty=True)
@@ -151,7 +164,7 @@ class MemoryHierarchy:
         line = addr // cfg.line_size
         if self.l1.contains(line) or self.l2.contains(line):
             return AccessResult(0, 2)
-        self.monitor.raw[Event.L2_PREFETCH_FILL][cpu] += 1
+        self.monitor.raw[_L2_PREFETCH_FILL][cpu] += 1
         self._l2_port(now)
         ready = now + self._memory_access(now)
         self._fill_l2(line, cpu, dirty=False)
@@ -195,7 +208,7 @@ class MemoryHierarchy:
         if victim is not None:
             vline, vdirty = victim
             if vdirty:
-                self.monitor.raw[Event.L2_WRITEBACK][cpu] += 1
+                self.monitor.raw[_L2_WRITEBACK][cpu] += 1
             # Non-inclusive hierarchy would keep L1; Netburst L2 is
             # inclusive of L1, so an L2 eviction invalidates L1 too.
             self.l1.invalidate(vline)

@@ -153,7 +153,7 @@ def _validate_pair_cell(cell: Any, result: Any) -> List[Finding]:
                     f"({cpi_a:.3f}, {cpi_b:.3f}) — impossible occupancy"
                 ),
                 hint="the simulated pair runs faster than the shared "
-                     "unit physically allows; check ExecUnit.issue",
+                     "unit physically allows; check UnitPool.try_issue",
                 data={"unit": unit, "utilization": round(util, 4)},
             ))
     return findings

@@ -33,6 +33,11 @@ from repro.isa.opcodes import Op
 from repro.isa.registers import R
 from repro.runtime.program import ThreadAPI
 
+# Enum members bound once at import (cpu/core.py, "Per-µop interpreter
+# cost").
+_NOP, _ISUB, _BRANCH = Op.NOP, Op.ISUB, Op.BRANCH
+_ILOAD, _ISTORE, _PAUSE, _HALT = Op.ILOAD, Op.ISTORE, Op.PAUSE, Op.HALT
+
 _uid = itertools.count()
 
 #: Scratch registers used by sync sequences (kept away from workload regs).
@@ -77,7 +82,7 @@ def advance_var(var: SyncVar, api: ThreadAPI, new_value: Optional[int] = None,
                 wake()
             var.waiters.clear()
 
-    yield Instr.store(var.addr, src=_DATA_REG, op=Op.ISTORE,
+    yield Instr.store(var.addr, src=_DATA_REG, op=_ISTORE,
                       site=SYNC_SITE, effect=_publish)
 
 
@@ -96,23 +101,24 @@ def wait_ge(
     IPI — the "long duration wait loop" of §3.1.
     """
     sample = [None]
+    spin = mode is WaitMode.SPIN
 
     def _sample_effect():
         sample[0] = var.value
 
     while True:
-        yield Instr.load(var.addr, dst=_SPIN_REG, op=Op.ILOAD,
+        yield Instr.load(var.addr, dst=_SPIN_REG, op=_ILOAD,
                          site=SYNC_SITE, effect=_sample_effect)
-        yield Instr(Op.BRANCH, site=SYNC_SITE)
+        yield Instr(_BRANCH, site=SYNC_SITE)
         if sample[0] is not None and sample[0] >= threshold:
             # Spin loops exit through a mispredicted branch / memory-order
             # violation: charge the flush penalty (§3.1).
-            if mode is WaitMode.SPIN:
+            if spin:
                 api.flush_self()
             return
-        if mode is WaitMode.SPIN:
+        if spin:
             if pause:
-                yield Instr(Op.PAUSE, site=SYNC_SITE)
+                yield Instr(_PAUSE, site=SYNC_SITE)
         else:
             yield from _sleep(var, threshold, api)
 
@@ -137,17 +143,17 @@ def _sleep(var: SyncVar, threshold: int, api: ThreadAPI) -> Iterator[Instr]:
         else:
             var.waiters[tid] = lambda: api.wake(tid)
 
-    yield Instr.store(var.addr, src=_DATA_REG, op=Op.ISTORE,
+    yield Instr.store(var.addr, src=_DATA_REG, op=_ISTORE,
                       site=SYNC_SITE, effect=_register)
     while not registered[0]:
-        yield Instr(Op.BRANCH, site=SYNC_SITE)
+        yield Instr(_BRANCH, site=SYNC_SITE)
     if not already_true[0]:
-        yield Instr(Op.HALT, site=SYNC_SITE)
+        yield Instr(_HALT, site=SYNC_SITE)
 
     def _deregister():
         var.waiters.pop(tid, None)
 
-    yield Instr(Op.NOP, site=SYNC_SITE, effect=_deregister)
+    yield Instr(_NOP, site=SYNC_SITE, effect=_deregister)
 
 
 def spin_until(
@@ -164,14 +170,14 @@ def spin_until(
         sample[0] = predicate()
 
     while True:
-        yield Instr.load(var.addr, dst=_SPIN_REG, op=Op.ILOAD,
+        yield Instr.load(var.addr, dst=_SPIN_REG, op=_ILOAD,
                          site=SYNC_SITE, effect=_sample_effect)
-        yield Instr(Op.BRANCH, site=SYNC_SITE)
+        yield Instr(_BRANCH, site=SYNC_SITE)
         if sample[0]:
             api.flush_self()
             return
         if pause:
-            yield Instr(Op.PAUSE, site=SYNC_SITE)
+            yield Instr(_PAUSE, site=SYNC_SITE)
 
 
 class SenseBarrier:
@@ -211,16 +217,16 @@ class SenseBarrier:
             decremented[0] = self._count.value
 
         # Atomic read-modify-write of the arrival counter.
-        yield Instr.load(self._count.addr, dst=_RMW_REG, op=Op.ILOAD,
+        yield Instr.load(self._count.addr, dst=_RMW_REG, op=_ILOAD,
                          site=SYNC_SITE)
-        yield Instr.arith(Op.ISUB, dst=_RMW_REG, src=_DATA_REG,
+        yield Instr.arith(_ISUB, dst=_RMW_REG, src=_DATA_REG,
                           site=SYNC_SITE)
-        yield Instr.store(self._count.addr, src=_RMW_REG, op=Op.ISTORE,
+        yield Instr.store(self._count.addr, src=_RMW_REG, op=_ISTORE,
                           site=SYNC_SITE, effect=_dec)
         # The branch deciding last-vs-waiter needs the decremented value:
         # wait for our own store to retire.
         while decremented[0] is None:
-            yield Instr(Op.BRANCH, site=SYNC_SITE)
+            yield Instr(_BRANCH, site=SYNC_SITE)
 
         if decremented[0] == 0:
             # Last arrival: reset the counter and flip the sense,
@@ -234,6 +240,6 @@ class SenseBarrier:
                     self._sense.waiters.clear()
 
             yield Instr.store(self._sense.addr, src=_DATA_REG,
-                              op=Op.ISTORE, site=SYNC_SITE, effect=_release)
+                              op=_ISTORE, site=SYNC_SITE, effect=_release)
         else:
             yield from wait_ge(self._sense, epoch, api, mode=self.mode)

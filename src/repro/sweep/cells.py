@@ -57,9 +57,9 @@ class SweepCell:
         did change them is a jump-engine defect, invalidated by bumping
         the fast-forward, recurrence or compose schema version.
         """
-        core, mem, versions = _machine(self)
+        core, mem = _filled(self.core_config, self.mem_config)
         return _material({"kind": self.kind, "config": self.config},
-                         core, mem, versions)
+                         core, mem, _versions())
 
     def key(self) -> str:
         """``cache_key(self.key_material())``, byte for byte.
@@ -68,24 +68,20 @@ class SweepCell:
         mutable dict); the canonical text around it is stored once per
         machine value (see :func:`_machine_text`).
         """
-        head, tail = _machine_text(*_machine(self))
+        head, tail = _machine_text(self.core_config, self.mem_config,
+                                   _versions())
         cell = canonical_json({"kind": self.kind, "config": self.config})
         return hashlib.sha256(head + cell.encode() + tail).hexdigest()
 
 
-def _machine(cell: SweepCell) -> Tuple[Any, Any, Tuple[Any, ...]]:
-    """The cell's simulated machine (defaults filled in) and the schema
-    versions every key carries."""
+def _versions() -> Tuple[Any, ...]:
+    """The schema versions every key carries, read at each call."""
     from repro import __version__
     from repro.check.compose import COMPOSE_SCHEMA_VERSION
     from repro.check.recurrence import RECURRENCE_SCHEMA_VERSION
-    from repro.cpu.config import CoreConfig
-    from repro.mem.config import MemConfig
     from repro.model.bounds import MODEL_SCHEMA_VERSION
 
-    core = cell.core_config if cell.core_config is not None else CoreConfig()
-    mem = cell.mem_config if cell.mem_config is not None else MemConfig()
-    return core, mem, (
+    return (
         ("cache_schema_version", CACHE_SCHEMA_VERSION),
         ("fastpath_schema_version", FASTPATH_SCHEMA_VERSION),
         ("recurrence_schema_version", RECURRENCE_SCHEMA_VERSION),
@@ -95,6 +91,26 @@ def _machine(cell: SweepCell) -> Tuple[Any, Any, Tuple[Any, ...]]:
         ("model_schema_version", MODEL_SCHEMA_VERSION),
         ("repro_version", __version__),
     )
+
+
+def _filled(core: Any, mem: Any) -> Tuple[Any, Any]:
+    """The simulated machine, a fresh default config for each part a
+    cell leaves unset."""
+    from repro.cpu.config import CoreConfig
+    from repro.mem.config import MemConfig
+
+    return (core if core is not None else CoreConfig(),
+            mem if mem is not None else MemConfig())
+
+
+@lru_cache(maxsize=None)
+def _default_keys() -> Tuple[tuple, tuple]:
+    """The value keys of the default core and memory configs, derived
+    once per process (the configs themselves are not kept)."""
+    from repro.model.bounds import config_key
+
+    core, mem = _filled(None, None)
+    return config_key(core), config_key(mem)
 
 
 def _material(cell: Any, core: Any, mem: Any,
@@ -116,19 +132,25 @@ _MACHINE_TEXT: Dict[tuple, Tuple[bytes, bytes]] = {}
 
 def _machine_text(core: Any, mem: Any,
                   versions: Tuple[Any, ...]) -> Tuple[bytes, bytes]:
-    """The canonical key text around the cell part, for one machine.
+    """The canonical key text around the cell part, for one machine
+    (``None`` for a default part).
 
     Stored by value (:func:`repro.model.bounds.config_key`), never by
     ``id()``: ``CoreConfig`` is mutable (``unified_queues()`` sets
     ``partitioned`` after construction), so a config changed since its
     last key gets fresh text, and equal configs share one entry.  A
+    default part is looked up by :func:`_default_keys`, so a cell
+    without a config builds and serializes nothing.  A
     canonicalisation that raises stores nothing.
     """
     from repro.model.bounds import config_key
 
-    memo_key = (config_key(core), config_key(mem), versions)
+    default_core, default_mem = _default_keys()
+    memo_key = (default_core if core is None else config_key(core),
+                default_mem if mem is None else config_key(mem), versions)
     text = _MACHINE_TEXT.get(memo_key)
     if text is None:
+        core, mem = _filled(core, mem)
         slotted = canonical_json(_material(_CELL_SLOT, core, mem, versions))
         head, tail = slotted.split(json.dumps(_CELL_SLOT))
         text = _MACHINE_TEXT[memo_key] = (head.encode(), tail.encode())

@@ -59,6 +59,12 @@ from repro.workloads.common import (
     tiled_factories,
 )
 
+# Enum members bound once at import (cpu/core.py, "Per-µop interpreter
+# cost").
+_IADD, _BRANCH = Op.IADD, Op.BRANCH
+_FADD, _FSUB, _FMUL, _FMOVE = Op.FADD, Op.FSUB, Op.FMUL, Op.FMOVE
+_FLOAD, _FSTORE = Op.FLOAD, Op.FSTORE
+
 #: Only the serial stream is a pure instruction sequence; the TLP
 #: variants carry barrier/sync effects and cannot be recorded.
 _RECORDABLE = frozenset({Variant.SERIAL})
@@ -203,35 +209,35 @@ class _BTState:
                                  (lower_a, upper_a)):
                 for c in range(BLOCK):
                     off = row_off + c * 8
-                    yield Instr.load(src_a + off, dst=VAL[0], op=Op.FLOAD,
+                    yield Instr.load(src_a + off, dst=VAL[0], op=_FLOAD,
                                      site=SITE_LOAD_BLOCK)
-                    yield Instr.load(src_b + off, dst=VAL[1], op=Op.FLOAD,
+                    yield Instr.load(src_b + off, dst=VAL[1], op=_FLOAD,
                                      site=SITE_LOAD_BLOCK)
-                    yield Instr(Op.FMUL, dst=VAL[2], srcs=(VAL[0], VAL[1]),
+                    yield Instr(_FMUL, dst=VAL[2], srcs=(VAL[0], VAL[1]),
                                 site=_BASE)
-                    yield Instr(Op.FADD, dst=ACC[0], srcs=(ACC[0], VAL[2]),
+                    yield Instr(_FADD, dst=ACC[0], srcs=(ACC[0], VAL[2]),
                                 site=_BASE)
                     if c % 2 == 0:
-                        yield Instr(Op.FMUL, dst=VAL[3],
+                        yield Instr(_FMUL, dst=VAL[3],
                                     srcs=(VAL[1], VAL[2]), site=_BASE)
                     if c % 2 == 1:
-                        yield Instr(Op.FMOVE, dst=ACC[1], srcs=(ACC[0],),
+                        yield Instr(_FMOVE, dst=ACC[1], srcs=(ACC[0],),
                                     site=_BASE)
-                        yield Instr(Op.IADD, dst=IDX[1], srcs=(IDX[1],),
+                        yield Instr(_IADD, dst=IDX[1], srcs=(IDX[1],),
                                     site=_BASE)
             # Row results: update diag row and rhs entry.
-            yield Instr(Op.FMOVE, dst=ACC[2], srcs=(ACC[0],), site=_BASE)
-            yield Instr.load(rhs_a + r * 8, dst=ACC[3], op=Op.FLOAD,
+            yield Instr(_FMOVE, dst=ACC[2], srcs=(ACC[0],), site=_BASE)
+            yield Instr.load(rhs_a + r * 8, dst=ACC[3], op=_FLOAD,
                              site=SITE_LOAD_RHS)
-            yield Instr(Op.FSUB, dst=ACC[3], srcs=(ACC[3], ACC[0]),
+            yield Instr(_FSUB, dst=ACC[3], srcs=(ACC[3], ACC[0]),
                         site=_BASE)
-            yield Instr.store(rhs_a + r * 8, src=ACC[3], op=Op.FSTORE,
+            yield Instr.store(rhs_a + r * 8, src=ACC[3], op=_FSTORE,
                               site=SITE_STORE)
             for c in range(0, BLOCK, 2):
                 yield Instr.store(diag_a + row_off + c * 8, src=ACC[2],
-                                  op=Op.FSTORE, site=SITE_STORE)
-            yield Instr(Op.IADD, dst=IDX[0], srcs=(IDX[0],), site=_BASE)
-        yield Instr(Op.BRANCH, site=_BASE)
+                                  op=_FSTORE, site=SITE_STORE)
+            yield Instr(_IADD, dst=IDX[0], srcs=(IDX[0],), site=_BASE)
+        yield Instr(_BRANCH, site=_BASE)
 
     def emit_line(self, direction: int, line: int) -> Iterator[Instr]:
         for k in range(self.grid):
@@ -336,18 +342,18 @@ def build(
                     for which in ("lower", "diag", "upper"):
                         base = state.block_addr(which, cell)
                         for off in range(0, BLOCK * BLOCK * 8, line_size):
-                            yield Instr(Op.IADD, dst=IDX[3],
+                            yield Instr(_IADD, dst=IDX[3],
                                         srcs=(IDX[3],), site=SITE_PREFETCH)
                             yield Instr.load(base + off, dst=PF_DST[0],
-                                             op=Op.FLOAD, srcs=(IDX[3],),
+                                             op=_FLOAD, srcs=(IDX[3],),
                                              site=SITE_PREFETCH)
                     # ... and prefetch-for-write the in-place rhs/diag
                     # destinations (BT's store-heavy spr mix, Table 1).
-                    yield Instr.store(state.rhs_addr(cell), op=Op.FSTORE,
+                    yield Instr.store(state.rhs_addr(cell), op=_FSTORE,
                                       site=SITE_PREFETCH)
                     diag = state.block_addr("diag", cell)
                     for off in range(0, BLOCK * BLOCK * 8, line_size * 2):
-                        yield Instr.store(diag + off, op=Op.FSTORE,
+                        yield Instr.store(diag + off, op=_FSTORE,
                                           site=SITE_PREFETCH)
 
         factories = [worker, prefetcher]

@@ -62,6 +62,12 @@ from repro.workloads.common import (
     tiled_factories,
 )
 
+# Enum members bound once at import (cpu/core.py, "Per-µop interpreter
+# cost").
+_IADD, _ILOGIC, _ILOAD, _BRANCH = Op.IADD, Op.ILOGIC, Op.ILOAD, Op.BRANCH
+_FADD, _FMUL, _FDIV, _FMOVE = Op.FADD, Op.FMUL, Op.FDIV, Op.FMOVE
+_FLOAD, _FSTORE = Op.FLOAD, Op.FSTORE
+
 #: Only the serial stream is a pure instruction sequence; every TLP
 #: variant carries barrier/sync effects and cannot be recorded.
 _RECORDABLE = frozenset({Variant.SERIAL})
@@ -171,33 +177,33 @@ def _emit_spmv_row(state: _CGState, i: int,
     "due to parallelization overhead".
     """
     s, e = int(state.rowptr[i]), int(state.rowptr[i + 1])
-    yield Instr.load(state.reg_rowptr.addr_of(i), dst=IDX[1], op=Op.ILOAD,
+    yield Instr.load(state.reg_rowptr.addr_of(i), dst=IDX[1], op=_ILOAD,
                      site=SITE_LOAD_ROWPTR)
     for j in range(s, e):
         if tlp_overhead:
-            yield Instr(Op.IADD, dst=PTR[1], srcs=(PTR[1],), site=_BASE)
+            yield Instr(_IADD, dst=PTR[1], srcs=(PTR[1],), site=_BASE)
             if j % 4 == 0:
                 yield Instr.load(state.reg_rowptr.addr_of(i), dst=IDX[1],
-                                 op=Op.ILOAD, site=SITE_LOAD_ROWPTR)
+                                 op=_ILOAD, site=SITE_LOAD_ROWPTR)
         col = int(state.colidx[j])
         # Load the column index, compute &p[col] from it, gather.
         yield Instr.load(state.reg_colidx.addr_of(j), dst=IDX[2],
-                         op=Op.ILOAD, site=SITE_LOAD_COLIDX)
+                         op=_ILOAD, site=SITE_LOAD_COLIDX)
         # &p[col]: scale the index and add the base (translated OpenMP
         # code keeps the loop counter and bounds in integer registers).
-        yield Instr(Op.ILOGIC, dst=IDX[2], srcs=(IDX[2],), site=_BASE)
-        yield Instr(Op.IADD, dst=IDX[2], srcs=(IDX[2],), site=_BASE)
-        yield Instr(Op.IADD, dst=IDX[0], srcs=(IDX[0],), site=_BASE)
+        yield Instr(_ILOGIC, dst=IDX[2], srcs=(IDX[2],), site=_BASE)
+        yield Instr(_IADD, dst=IDX[2], srcs=(IDX[2],), site=_BASE)
+        yield Instr(_IADD, dst=IDX[0], srcs=(IDX[0],), site=_BASE)
         yield Instr.load(state.reg_aval.addr_of(j), dst=VAL[0],
-                         op=Op.FLOAD, site=SITE_LOAD_AVAL)
-        yield Instr.load(state.reg_p.addr_of(col), dst=VAL[1], op=Op.FLOAD,
+                         op=_FLOAD, site=SITE_LOAD_AVAL)
+        yield Instr.load(state.reg_p.addr_of(col), dst=VAL[1], op=_FLOAD,
                          srcs=(IDX[2],), site=SITE_LOAD_GATHER)
-        yield Instr(Op.FMUL, dst=VAL[2], srcs=(VAL[0], VAL[1]), site=_BASE)
-        yield Instr(Op.FMOVE, dst=VAL[0], srcs=(VAL[2],), site=_BASE)
-        yield Instr(Op.FADD, dst=ACC[0], srcs=(ACC[0], VAL[2]), site=_BASE)
-    yield Instr.store(state.reg_q.addr_of(i), src=ACC[0], op=Op.FSTORE,
+        yield Instr(_FMUL, dst=VAL[2], srcs=(VAL[0], VAL[1]), site=_BASE)
+        yield Instr(_FMOVE, dst=VAL[0], srcs=(VAL[2],), site=_BASE)
+        yield Instr(_FADD, dst=ACC[0], srcs=(ACC[0], VAL[2]), site=_BASE)
+    yield Instr.store(state.reg_q.addr_of(i), src=ACC[0], op=_FSTORE,
                       site=SITE_STORE)
-    yield Instr(Op.BRANCH, site=_BASE)
+    yield Instr(_BRANCH, site=_BASE)
 
 
 def _emit_vector_ops(state: _CGState, lo: int, hi: int) -> Iterator[Instr]:
@@ -214,24 +220,24 @@ def _emit_vector_ops(state: _CGState, lo: int, hi: int) -> Iterator[Instr]:
             yield Instr.load(
                 {"cg.p": state.reg_p, "cg.q": state.reg_q,
                  "cg.r": state.reg_r, "cg.z": state.reg_z}[reg].addr_of(i),
-                dst=val, op=Op.FLOAD, site=SITE_VEC,
+                dst=val, op=_FLOAD, site=SITE_VEC,
             )
-        yield Instr(Op.FMUL, dst=ACC[0], srcs=(VAL[0], VAL[1]), site=_BASE)
-        yield Instr(Op.FADD, dst=ACC[2], srcs=(ACC[2], ACC[0]), site=_BASE)
-        yield Instr(Op.FMOVE, dst=VAL[0], srcs=(VAL[2],), site=_BASE)
-        yield Instr(Op.FMOVE, dst=VAL[1], srcs=(VAL[3],), site=_BASE)
-        yield Instr(Op.FMUL, dst=ACC[0], srcs=(VAL[0], VAL[2]), site=_BASE)
-        yield Instr(Op.FADD, dst=ACC[3], srcs=(ACC[3], ACC[0]), site=_BASE)
-        yield Instr(Op.FMOVE, dst=VAL[3], srcs=(ACC[0],), site=_BASE)
-        yield Instr(Op.IADD, dst=IDX[0], srcs=(IDX[0],), site=_BASE)
-        yield Instr.store(state.reg_z.addr_of(i), src=VAL[1], op=Op.FSTORE,
+        yield Instr(_FMUL, dst=ACC[0], srcs=(VAL[0], VAL[1]), site=_BASE)
+        yield Instr(_FADD, dst=ACC[2], srcs=(ACC[2], ACC[0]), site=_BASE)
+        yield Instr(_FMOVE, dst=VAL[0], srcs=(VAL[2],), site=_BASE)
+        yield Instr(_FMOVE, dst=VAL[1], srcs=(VAL[3],), site=_BASE)
+        yield Instr(_FMUL, dst=ACC[0], srcs=(VAL[0], VAL[2]), site=_BASE)
+        yield Instr(_FADD, dst=ACC[3], srcs=(ACC[3], ACC[0]), site=_BASE)
+        yield Instr(_FMOVE, dst=VAL[3], srcs=(ACC[0],), site=_BASE)
+        yield Instr(_IADD, dst=IDX[0], srcs=(IDX[0],), site=_BASE)
+        yield Instr.store(state.reg_z.addr_of(i), src=VAL[1], op=_FSTORE,
                           site=SITE_STORE)
-        yield Instr.store(state.reg_r.addr_of(i), src=VAL[0], op=Op.FSTORE,
+        yield Instr.store(state.reg_r.addr_of(i), src=VAL[0], op=_FSTORE,
                           site=SITE_STORE)
-        yield Instr.store(state.reg_p.addr_of(i), src=VAL[3], op=Op.FSTORE,
+        yield Instr.store(state.reg_p.addr_of(i), src=VAL[3], op=_FSTORE,
                           site=SITE_STORE)
         if i % 8 == 0:
-            yield Instr(Op.BRANCH, site=_BASE)
+            yield Instr(_BRANCH, site=_BASE)
 
 
 def _functional_iteration(state: _CGState) -> None:
@@ -327,19 +333,19 @@ def build(
                 for j in range(s, e):
                     col = int(state.colidx[j])
                     yield Instr.load(state.reg_colidx.addr_of(j),
-                                     dst=IDX[3], op=Op.ILOAD,
+                                     dst=IDX[3], op=_ILOAD,
                                      site=SITE_PREFETCH)
                     # The slice keeps the whole address computation of
                     # the gather (paper Table 1: CG's spr column is
                     # ALU-dominated, ~50%).
-                    yield Instr(Op.ILOGIC, dst=IDX[3], srcs=(IDX[3],),
+                    yield Instr(_ILOGIC, dst=IDX[3], srcs=(IDX[3],),
                                 site=SITE_PREFETCH)
-                    yield Instr(Op.IADD, dst=IDX[3], srcs=(IDX[3],),
+                    yield Instr(_IADD, dst=IDX[3], srcs=(IDX[3],),
                                 site=SITE_PREFETCH)
-                    yield Instr(Op.IADD, dst=PTR[2], srcs=(PTR[2],),
+                    yield Instr(_IADD, dst=PTR[2], srcs=(PTR[2],),
                                 site=SITE_PREFETCH)
                     yield Instr.load(state.reg_p.addr_of(col),
-                                     dst=PF_DST[0], op=Op.FLOAD,
+                                     dst=PF_DST[0], op=_FLOAD,
                                      srcs=(IDX[3],), site=SITE_PREFETCH)
 
         if not hybrid:
@@ -419,25 +425,25 @@ def build(
 def _emit_partial_dot(state: _CGState, lo: int, hi: int) -> Iterator[Instr]:
     """Partial reduction over a row block (p.q or r.r)."""
     for i in range(lo, hi):
-        yield Instr.load(state.reg_p.addr_of(i), dst=VAL[0], op=Op.FLOAD,
+        yield Instr.load(state.reg_p.addr_of(i), dst=VAL[0], op=_FLOAD,
                          site=SITE_VEC)
-        yield Instr.load(state.reg_q.addr_of(i), dst=VAL[1], op=Op.FLOAD,
+        yield Instr.load(state.reg_q.addr_of(i), dst=VAL[1], op=_FLOAD,
                          site=SITE_VEC)
-        yield Instr(Op.FMUL, dst=VAL[2], srcs=(VAL[0], VAL[1]), site=_BASE)
-        yield Instr(Op.FADD, dst=ACC[0], srcs=(ACC[0], VAL[2]), site=_BASE)
+        yield Instr(_FMUL, dst=VAL[2], srcs=(VAL[0], VAL[1]), site=_BASE)
+        yield Instr(_FADD, dst=ACC[0], srcs=(ACC[0], VAL[2]), site=_BASE)
         if i % 8 == 0:
-            yield Instr(Op.BRANCH, site=_BASE)
-    yield Instr.store(state.reg_q.addr_of(lo), src=ACC[0], op=Op.FSTORE,
+            yield Instr(_BRANCH, site=_BASE)
+    yield Instr.store(state.reg_q.addr_of(lo), src=ACC[0], op=_FSTORE,
                       site=SITE_STORE)
 
 
 def _emit_combine(state: _CGState) -> Iterator[Instr]:
     """Thread 0 combines the two partial sums and derives alpha/beta."""
-    yield Instr.load(state.reg_q.addr_of(0), dst=VAL[0], op=Op.FLOAD,
+    yield Instr.load(state.reg_q.addr_of(0), dst=VAL[0], op=_FLOAD,
                      site=SITE_VEC)
     yield Instr.load(state.reg_q.addr_of(state.n // 2), dst=VAL[1],
-                     op=Op.FLOAD, site=SITE_VEC)
-    yield Instr(Op.FADD, dst=VAL[0], srcs=(VAL[0], VAL[1]), site=_BASE)
-    yield Instr(Op.FDIV, dst=VAL[2], srcs=(VAL[2], VAL[0]), site=_BASE)
-    yield Instr.store(state.reg_q.addr_of(0), src=VAL[2], op=Op.FSTORE,
+                     op=_FLOAD, site=SITE_VEC)
+    yield Instr(_FADD, dst=VAL[0], srcs=(VAL[0], VAL[1]), site=_BASE)
+    yield Instr(_FDIV, dst=VAL[2], srcs=(VAL[2], VAL[0]), site=_BASE)
+    yield Instr.store(state.reg_q.addr_of(0), src=VAL[2], op=_FSTORE,
                       site=SITE_STORE)

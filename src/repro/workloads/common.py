@@ -48,6 +48,11 @@ class Variant(enum.Enum):
     SW_PREFETCH = "sw-pfetch"
 
 
+# Enum members bound once at import (cpu/core.py, "Per-µop interpreter
+# cost").
+_IADD, _ILOGIC, _PREFETCH = Op.IADD, Op.ILOGIC, Op.PREFETCH
+_FLOAD, _FSTORE = Op.FLOAD, Op.FSTORE
+
 #: Register conventions shared by all workloads (sync owns R29-R31).
 IDX = [R(0), R(1), R(2), R(3)]        # address-computation chain
 ACC = [F(0), F(1), F(2), F(3)]        # fp accumulators
@@ -168,9 +173,9 @@ def emit_blocked_index(
     The chain writes ``dst``, which the subsequent load lists among its
     sources, so contention-induced ALU0 delay propagates into the load.
     """
-    yield Instr(Op.ILOGIC, dst=dst, srcs=(PTR[0],), site=site)
+    yield Instr(_ILOGIC, dst=dst, srcs=(PTR[0],), site=site)
     for _ in range(extra_logic):
-        yield Instr(Op.ILOGIC, dst=dst, srcs=(dst,), site=site)
+        yield Instr(_ILOGIC, dst=dst, srcs=(dst,), site=site)
 
 
 def prefetch_lines(
@@ -189,9 +194,9 @@ def prefetch_lines(
     """
     for off in range(0, nbytes, line_size):
         for _ in range(addr_cost):
-            yield Instr(Op.IADD, dst=IDX[3], srcs=(IDX[3],), site=site)
+            yield Instr(_IADD, dst=IDX[3], srcs=(IDX[3],), site=site)
         deps = (IDX[3],) if addr_cost else ()
-        yield Instr.load(base_addr + off, dst=PF_DST[0], op=Op.FLOAD,
+        yield Instr.load(base_addr + off, dst=PF_DST[0], op=_FLOAD,
                          site=site, srcs=deps)
 
 
@@ -207,7 +212,7 @@ def emit_sw_prefetch(
     recommendation of "embodying SPR in the working thread".
     """
     for off in range(0, nbytes, line_size):
-        yield Instr(Op.PREFETCH, addr=base_addr + off, site=site)
+        yield Instr(_PREFETCH, addr=base_addr + off, site=site)
 
 
 def prefetch_elements(
@@ -231,12 +236,12 @@ def prefetch_elements(
     """
     for k, off in enumerate(range(0, nbytes, elem_size)):
         for _ in range(logic_cost):
-            yield Instr(Op.ILOGIC, dst=IDX[3], srcs=(IDX[3],), site=site)
-        yield Instr(Op.IADD, dst=IDX[3], srcs=(IDX[3],), site=site)
-        yield Instr.load(base_addr + off, dst=PF_DST[0], op=Op.FLOAD,
+            yield Instr(_ILOGIC, dst=IDX[3], srcs=(IDX[3],), site=site)
+        yield Instr(_IADD, dst=IDX[3], srcs=(IDX[3],), site=site)
+        yield Instr.load(base_addr + off, dst=PF_DST[0], op=_FLOAD,
                          site=site, srcs=(IDX[3],))
         if reload:
-            yield Instr.load(base_addr + off, dst=PF_DST[1], op=Op.FLOAD,
+            yield Instr.load(base_addr + off, dst=PF_DST[1], op=_FLOAD,
                              site=site)
         if store_every and k % store_every == 0:
-            yield Instr.store(base_addr + off, op=Op.FSTORE, site=site)
+            yield Instr.store(base_addr + off, op=_FSTORE, site=site)

@@ -56,6 +56,12 @@ from repro.workloads.common import (
     tiled_factories,
 )
 
+# Enum members bound once at import (cpu/core.py, "Per-µop interpreter
+# cost").
+_IADD, _BRANCH = Op.IADD, Op.BRANCH
+_FSUB, _FMUL, _FDIV = Op.FSUB, Op.FMUL, Op.FDIV
+_FLOAD, _FSTORE = Op.FLOAD, Op.FSTORE
+
 #: Only the serial stream is a pure instruction sequence; the TLP
 #: variants carry barrier/sync effects and cannot be recorded.
 _RECORDABLE = frozenset({Variant.SERIAL})
@@ -82,26 +88,26 @@ def _emit_update(addr_a: int, addr_b: int, addr_c: int,
     LOAD-heavy, symmetric small FP shares).
     """
     yield from emit_blocked_index(IDX[0], _BASE, extra_logic=1)
-    yield Instr(Op.IADD, dst=IDX[0], srcs=(IDX[0],), site=_BASE)
-    yield Instr.load(addr_a, dst=VAL[0], op=Op.FLOAD, srcs=(IDX[0],),
+    yield Instr(_IADD, dst=IDX[0], srcs=(IDX[0],), site=_BASE)
+    yield Instr.load(addr_a, dst=VAL[0], op=_FLOAD, srcs=(IDX[0],),
                      site=site)
-    yield Instr.load(addr_b, dst=VAL[1], op=Op.FLOAD, srcs=(IDX[0],),
+    yield Instr.load(addr_b, dst=VAL[1], op=_FLOAD, srcs=(IDX[0],),
                      site=site)
-    yield Instr.load(addr_a, dst=VAL[3], op=Op.FLOAD, site=site)
-    yield Instr.load(addr_c, dst=ACC[0], op=Op.FLOAD, site=site)
-    yield Instr(Op.FMUL, dst=VAL[2], srcs=(VAL[0], VAL[1]), site=_BASE)
-    yield Instr(Op.FSUB, dst=ACC[0], srcs=(ACC[0], VAL[2]), site=_BASE)
-    yield Instr.store(addr_c, src=ACC[0], op=Op.FSTORE, site=SITE_STORE)
+    yield Instr.load(addr_a, dst=VAL[3], op=_FLOAD, site=site)
+    yield Instr.load(addr_c, dst=ACC[0], op=_FLOAD, site=site)
+    yield Instr(_FMUL, dst=VAL[2], srcs=(VAL[0], VAL[1]), site=_BASE)
+    yield Instr(_FSUB, dst=ACC[0], srcs=(ACC[0], VAL[2]), site=_BASE)
+    yield Instr.store(addr_c, src=ACC[0], op=_FSTORE, site=SITE_STORE)
 
 
 def _emit_divide(addr_num: int, addr_den: int, site: int) -> Iterator[Instr]:
     """a[num] /= a[den] (multiplier computation in the factorization)."""
     yield from emit_blocked_index(IDX[1], _BASE, extra_logic=1)
-    yield Instr.load(addr_num, dst=VAL[0], op=Op.FLOAD, srcs=(IDX[1],),
+    yield Instr.load(addr_num, dst=VAL[0], op=_FLOAD, srcs=(IDX[1],),
                      site=site)
-    yield Instr.load(addr_den, dst=VAL[1], op=Op.FLOAD, site=site)
-    yield Instr(Op.FDIV, dst=VAL[0], srcs=(VAL[0], VAL[1]), site=_BASE)
-    yield Instr.store(addr_num, src=VAL[0], op=Op.FSTORE, site=SITE_STORE)
+    yield Instr.load(addr_den, dst=VAL[1], op=_FLOAD, site=site)
+    yield Instr(_FDIV, dst=VAL[0], srcs=(VAL[0], VAL[1]), site=_BASE)
+    yield Instr.store(addr_num, src=VAL[0], op=_FSTORE, site=SITE_STORE)
 
 
 class _LUState:
@@ -168,7 +174,7 @@ class _LUState:
                         A.addr(b + i, b + p), A.addr(b + p, b + j),
                         A.addr(b + i, b + j), SITE_LOAD_DIAG,
                     )
-            yield Instr(Op.BRANCH, site=_BASE)
+            yield Instr(_BRANCH, site=_BASE)
 
     def emit_row_panel(self, k: int, j: int) -> Iterator[Instr]:
         t, A = self.tile, self.A
@@ -180,7 +186,7 @@ class _LUState:
                         A.addr(bk + p, bk + q), A.addr(bk + q, bj + c),
                         A.addr(bk + p, bj + c), SITE_LOAD_PANEL,
                     )
-            yield Instr(Op.BRANCH, site=_BASE)
+            yield Instr(_BRANCH, site=_BASE)
 
     def emit_col_panel(self, k: int, i: int) -> Iterator[Instr]:
         t, A = self.tile, self.A
@@ -196,7 +202,7 @@ class _LUState:
                 yield from _emit_divide(A.addr(bi + r, bk + p),
                                         A.addr(bk + p, bk + p),
                                         SITE_LOAD_PANEL)
-            yield Instr(Op.BRANCH, site=_BASE)
+            yield Instr(_BRANCH, site=_BASE)
 
     def emit_trailing(self, k: int, i: int, j: int) -> Iterator[Instr]:
         t, A = self.tile, self.A
@@ -209,8 +215,8 @@ class _LUState:
                         addr_l, A.addr(bk + p, bj + c),
                         A.addr(bi + r, bj + c), SITE_LOAD_TRAIL,
                     )
-                yield Instr(Op.IADD, dst=PTR[1], srcs=(PTR[1],), site=_BASE)
-                yield Instr(Op.BRANCH, site=_BASE)
+                yield Instr(_IADD, dst=PTR[1], srcs=(PTR[1],), site=_BASE)
+                yield Instr(_BRANCH, site=_BASE)
 
 
 def build(

@@ -57,6 +57,12 @@ from repro.workloads.common import (
     tiled_factories,
 )
 
+# Enum members bound once at import (cpu/core.py, "Per-µop interpreter
+# cost").
+_IADD, _BRANCH = Op.IADD, Op.BRANCH
+_FADD, _FMUL = Op.FADD, Op.FMUL
+_FLOAD, _FSTORE = Op.FLOAD, Op.FSTORE
+
 #: Variants whose streams are pure instructions (no sync effects) and so
 #: can be recorded into a TiledTrace for tile-level fast-forward.
 _RECORDABLE = frozenset({Variant.SERIAL, Variant.SW_PREFETCH,
@@ -113,21 +119,21 @@ def _emit_tile_mult(
                 if element_filter is not None and (li * t + lj) % 2 != element_filter:
                     continue
                 yield from emit_blocked_index(IDX[0], _BASE, extra_logic)
-                yield Instr.load(addr_a, dst=VAL[0], op=Op.FLOAD,
+                yield Instr.load(addr_a, dst=VAL[0], op=_FLOAD,
                                  srcs=(IDX[0],), site=SITE_LOAD_A)
-                yield Instr.load(B.addr(k, j), dst=VAL[1], op=Op.FLOAD,
+                yield Instr.load(B.addr(k, j), dst=VAL[1], op=_FLOAD,
                                  srcs=(IDX[0],), site=SITE_LOAD_B)
-                yield Instr.load(C.addr(i, j), dst=ACC[0], op=Op.FLOAD,
+                yield Instr.load(C.addr(i, j), dst=ACC[0], op=_FLOAD,
                                  site=SITE_LOAD_C)
-                yield Instr(Op.FMUL, dst=VAL[2], srcs=(VAL[0], VAL[1]),
+                yield Instr(_FMUL, dst=VAL[2], srcs=(VAL[0], VAL[1]),
                             site=_BASE)
-                yield Instr(Op.FADD, dst=ACC[0], srcs=(ACC[0], VAL[2]),
+                yield Instr(_FADD, dst=ACC[0], srcs=(ACC[0], VAL[2]),
                             site=_BASE)
-                yield Instr.store(C.addr(i, j), src=ACC[0], op=Op.FSTORE,
+                yield Instr.store(C.addr(i, j), src=ACC[0], op=_FSTORE,
                                   site=SITE_STORE_C)
             # Loop overhead once per j-row (the kernel is unrolled by T).
-            yield Instr(Op.IADD, dst=PTR[1], srcs=(PTR[1],), site=_BASE)
-            yield Instr(Op.BRANCH, site=_BASE)
+            yield Instr(_IADD, dst=PTR[1], srcs=(PTR[1],), site=_BASE)
+            yield Instr(_BRANCH, site=_BASE)
 
 
 class _Arrays:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cpu import CoreConfig, UnitPool
-from repro.cpu.units import ROUTES
+from repro.cpu.units import ROUTES, UNIT_NAMES
 from repro.isa import Op
 
 
@@ -78,3 +78,68 @@ class TestIssue:
         pool.reset()
         assert pool.try_issue(int(Op.FADD), 0)[0]
         assert pool.issue_counts["fpexec"] == 1
+
+
+class TestUnitChoiceAndSwitch:
+    """``UnitPool.try_issue``'s unit choice and thread-switch penalty."""
+
+    def test_prefers_a_free_unit_this_thread_used_last(self, pool):
+        assert pool.try_issue(int(Op.ILOGIC), 0, tid=1)[0]   # alu0 <- T1
+        assert pool.try_issue(int(Op.IADD), 0, tid=0)[0]     # alu1 <- T0
+        # At tick 2 both ALUs are free; IADD's route lists alu1 first,
+        # but T1 last used alu0, so it goes there without a switch.
+        ok, comp = pool.try_issue(int(Op.IADD), 2, tid=1)
+        assert ok and comp == 2 + pool.config.timings[Op.IADD].latency
+        assert pool.units["alu0"].last_tid == 1
+        assert pool.units["alu0"].next_free == 3
+        assert pool.units["alu1"].next_free == 1
+
+    def test_falls_back_to_route_order(self, pool):
+        assert pool.try_issue(int(Op.IADD), 0, tid=0)[0]
+        assert pool.units["alu1"].last_tid == 0
+        assert pool.units["alu0"].last_tid == -1
+
+    def test_switching_a_busy_unit_costs_part_of_the_interval(self, pool):
+        timing = pool.config.timings[Op.FMUL]
+        penalty = int(timing.interval * pool.config.unit_switch_penalty)
+        assert penalty > 0
+        assert pool.try_issue(int(Op.FMUL), 0, tid=0)[0]
+        fpexec = pool.units["fpexec"]
+        free = fpexec.next_free
+        assert free == timing.interval
+        # T1 takes the unit the first tick it is free, while T0's op is
+        # still inside its last interval: the switch drains the pipe.
+        ok, comp = pool.try_issue(int(Op.FMUL), free, tid=1)
+        assert ok and comp == free + timing.latency + penalty
+        assert fpexec.next_free == free + timing.interval + penalty
+        assert fpexec.last_tid == 1
+
+    def test_last_busy_tick_still_pays(self, pool):
+        timing = pool.config.timings[Op.FMUL]
+        penalty = int(timing.interval * pool.config.unit_switch_penalty)
+        pool.try_issue(int(Op.FMUL), 0, tid=0)
+        late = 2 * timing.interval - 1
+        ok, comp = pool.try_issue(int(Op.FMUL), late, tid=1)
+        assert ok and comp == late + timing.latency + penalty
+
+    def test_idle_unit_switches_for_free(self, pool):
+        timing = pool.config.timings[Op.FMUL]
+        pool.try_issue(int(Op.FMUL), 0, tid=0)
+        idle = 2 * timing.interval
+        ok, comp = pool.try_issue(int(Op.FMUL), idle, tid=1)
+        assert ok and comp == idle + timing.latency
+        assert pool.units["fpexec"].next_free == idle + timing.interval
+
+    def test_same_thread_never_pays(self, pool):
+        timing = pool.config.timings[Op.FMUL]
+        pool.try_issue(int(Op.FMUL), 0, tid=1)
+        ok, comp = pool.try_issue(int(Op.FMUL), timing.interval, tid=1)
+        assert ok and comp == timing.interval + timing.latency
+
+    def test_issue_counts_charge_the_chosen_unit(self, pool):
+        pool.try_issue(int(Op.ILOGIC), 0, tid=1)             # alu0
+        pool.try_issue(int(Op.IADD), 0, tid=0)               # alu1
+        pool.try_issue(int(Op.IADD), 2, tid=1)               # alu0, preferred
+        assert not pool.try_issue(int(Op.ILOGIC), 2, tid=0)[0]  # alu0 busy
+        assert pool.issue_counts == {
+            name: {"alu0": 2, "alu1": 1}.get(name, 0) for name in UNIT_NAMES}

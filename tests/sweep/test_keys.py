@@ -277,3 +277,17 @@ class TestMemoizedMachineForm:
                 cell.key()
         with pytest.raises(ValueError, match="ambiguous"):
             cache_key(cell.key_material())
+
+    def test_default_machine_key_builds_no_config(self, monkeypatch):
+        import repro.cpu.config as core_module
+        import repro.mem.config as mem_module
+
+        cell = stream_cell("iadd", ILP.MAX, 1, horizon_ticks=1000)
+        first = cell.key()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a default-machine key built a config")
+
+        monkeypatch.setattr(core_module, "CoreConfig", forbidden)
+        monkeypatch.setattr(mem_module, "MemConfig", forbidden)
+        assert cell.key() == first
