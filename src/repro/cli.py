@@ -128,6 +128,7 @@ from repro.observe import (
     PipelineTracer,
     SiteMissProfile,
     build_report,
+    indented_json,
     write_report,
 )
 from repro.sweep import ResultCache, SweepEngine
@@ -455,7 +456,7 @@ def _emit(args: argparse.Namespace, report: dict, rendering: str,
           extra_renderings: Sequence[str] = ()) -> None:
     """Route one command's output: ASCII and/or JSON and/or report file."""
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(indented_json(report))
     else:
         print(rendering)
         for r in extra_renderings:
@@ -590,7 +591,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         report.extend(findings)
         report.files_linted = count
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(indented_json(report.to_dict()))
     else:
         print(report.render())
     threshold = {"error": checkmod.Severity.ERROR,
@@ -841,7 +842,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         raise UsageError(f"cannot read telemetry log {path!r}: {e}")
     summary = summarize(events)
     if args.json:
-        print(json.dumps(summary, indent=2))
+        print(indented_json(summary))
     else:
         print(f"log: {path}")
         print(render_telemetry(summary))

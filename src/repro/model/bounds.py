@@ -34,12 +34,16 @@ A bound is a pure function of its declared inputs — the stream spec,
 the sibling, the window, the slack and the values of the two configs —
 so each one is derived once per process and then looked up
 (:func:`memoized`); every consumer (the oracle, the report sections,
-``repro model``, ``repro check``, the pair certificates) shares it.
+``repro model``, ``repro check``, the pair certificates) shares it.  A
+config left ``None`` is looked up by the default machine's value keys,
+derived once per process (:func:`default_keys`): a lookup builds and
+hashes no config.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from types import MappingProxyType
 from typing import (
     Any,
@@ -90,7 +94,7 @@ MODEL_STREAMS: Tuple[str, ...] = (
 _T = TypeVar("_T")
 
 #: The bounds-layer memo: CPI bounds, exclusive-demand tables and pair
-#: envelopes, keyed by value (:func:`config_key`).  Unbounded: its keys
+#: envelopes, keyed by value (:func:`machine_keys`).  Unbounded: its keys
 #: range over the stream set, the ILP levels and the configs one
 #: process uses.
 _MEMO: Dict[tuple, Any] = {}
@@ -128,10 +132,35 @@ def memoized(key: tuple, derive: Callable[[], _T]) -> _T:
     return value
 
 
+@lru_cache(maxsize=None)
+def default_keys() -> Tuple[tuple, tuple]:
+    """The value keys of the default core and memory configs, derived
+    once per process (the configs themselves are not kept)."""
+    return config_key(CoreConfig()), config_key(MemConfig())
+
+
+def machine_keys(core: Optional[CoreConfig],
+                 mem: Optional[MemConfig]) -> Tuple[tuple, tuple]:
+    """The value keys of a machine, ``None`` standing for a default
+    part: a default part costs a lookup, never a config or a key."""
+    default_core, default_mem = default_keys()
+    return (default_core if core is None else config_key(core),
+            default_mem if mem is None else config_key(mem))
+
+
+def filled(core: Optional[CoreConfig],
+           mem: Optional[MemConfig]) -> Tuple[CoreConfig, MemConfig]:
+    """The machine, a fresh default config for each part left ``None``."""
+    return (core if core is not None else CoreConfig(),
+            mem if mem is not None else MemConfig())
+
+
 def clear_memo() -> None:
-    """Empty the bound memo and the stream-shape memo beneath it."""
+    """Empty the bound memo, the default keys and the stream-shape memo
+    beneath them."""
     _MEMO.clear()
     _CONFIG_KEYS.clear()
+    default_keys.cache_clear()
     clear_shapes()
 
 
@@ -304,14 +333,12 @@ def stream_bounds(
             raise ConfigError(f"unknown stream {spec_or_name!r}; "
                               f"known: {sorted(STREAM_OPS)}")
         spec = StreamSpec(spec_or_name, ilp=ilp)
-    cfg = core_config if core_config is not None else CoreConfig()
-    mem = mem_config if mem_config is not None else MemConfig()
     if sibling is not None and sibling not in STREAM_OPS:
         raise ConfigError(f"unknown sibling stream {sibling!r}")
     key = ("bound", spec, sibling, window, slack,
-           config_key(cfg), config_key(mem))
-    return memoized(key, lambda: _derive_bound(spec, sibling, cfg, mem,
-                                               window, slack))
+           *machine_keys(core_config, mem_config))
+    return memoized(key, lambda: _derive_bound(
+        spec, sibling, *filled(core_config, mem_config), window, slack))
 
 
 def _derive_bound(spec: StreamSpec, sibling: Optional[str],

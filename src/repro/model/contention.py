@@ -31,7 +31,8 @@ from repro.mem.config import MemConfig
 from repro.model.bounds import (
     MODEL_SLACK,
     CPIBound,
-    config_key,
+    filled,
+    machine_keys,
     memoized,
     stream_bounds,
 )
@@ -47,9 +48,9 @@ def exclusive_demand(name: str, ilp: ILP, cfg: Optional[CoreConfig] = None,
     Derived once per process for each set of inputs, like a
     :class:`CPIBound`; the returned table is read-only.
     """
-    cfg = cfg if cfg is not None else CoreConfig()
-    return memoized(("demand", name, ilp, window, config_key(cfg)),
-                    lambda: _derive_demand(name, ilp, cfg, window))
+    key = ("demand", name, ilp, window, machine_keys(cfg, None)[0])
+    return memoized(key, lambda: _derive_demand(
+        name, ilp, cfg if cfg is not None else CoreConfig(), window))
 
 
 def _derive_demand(name: str, ilp: ILP, cfg: CoreConfig,
@@ -140,12 +141,11 @@ def pair_bounds(
     Composed from the memoized stream bounds and demand tables, and
     itself memoized under the same inputs.
     """
-    cfg = core_config if core_config is not None else CoreConfig()
-    mem = mem_config if mem_config is not None else MemConfig()
     key = ("pair", name_a, name_b, ilp, window, slack,
-           config_key(cfg), config_key(mem))
-    return memoized(key, lambda: _derive_pair(name_a, name_b, ilp, cfg, mem,
-                                              window, slack))
+           *machine_keys(core_config, mem_config))
+    return memoized(key, lambda: _derive_pair(
+        name_a, name_b, ilp, *filled(core_config, mem_config), window,
+        slack))
 
 
 def _derive_pair(name_a: str, name_b: str, ilp: ILP, cfg: CoreConfig,

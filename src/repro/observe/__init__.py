@@ -40,6 +40,7 @@ from repro.observe.report import (
     SCHEMA_VERSION,
     VOLATILE_KEYS,
     build_report,
+    indented_json,
     result_to_dict,
     strip_volatile,
     write_report,
@@ -59,6 +60,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "VOLATILE_KEYS",
     "build_report",
+    "indented_json",
     "result_to_dict",
     "strip_volatile",
     "write_report",

@@ -45,7 +45,7 @@ from urllib.parse import parse_qsl, urlsplit
 
 from repro import __version__
 from repro.common.errors import CheckError, ConfigError, UsageError
-from repro.observe.report import strip_volatile
+from repro.observe.report import indented_json, strip_volatile
 from repro.serve.scheduler import CellScheduler
 from repro.serve.targets import manifest_bytes, parse_cells, resolve_target
 
@@ -257,7 +257,7 @@ class ServeApp:
                         payload: Union[dict, list, bytes],
                         keep: bool) -> None:
         body = (payload if isinstance(payload, bytes)
-                else (json.dumps(payload, indent=2) + "\n").encode())
+                else (indented_json(payload) + "\n").encode())
         head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
                 f"Content-Type: application/json\r\n"
                 f"Content-Length: {len(body)}\r\n"

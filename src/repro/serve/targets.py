@@ -16,7 +16,6 @@ maps to a 400 response and the CLI to exit status 2.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -28,7 +27,7 @@ from repro.core.table1 import table1_cells
 from repro.cpu.config import CoreConfig
 from repro.isa.streams import ILP
 from repro.mem.config import MemConfig
-from repro.observe.report import build_report, strip_volatile
+from repro.observe.report import build_report, indented_json, strip_volatile
 from repro.sweep.cells import SweepCell, runner_for
 
 _ILP = {"min": ILP.MIN, "med": ILP.MED, "max": ILP.MAX}
@@ -57,8 +56,7 @@ def manifest_bytes(report: dict) -> bytes:
     """The served manifest encoding: volatile-stripped, 2-space JSON,
     trailing newline — matching ``write_report`` + ``strip_volatile``
     applied to the CLI's file byte-for-byte."""
-    return (json.dumps(strip_volatile(report), indent=2,
-                       sort_keys=False) + "\n").encode()
+    return (indented_json(strip_volatile(report)) + "\n").encode()
 
 
 def _str_list(value: Any, what: str) -> List[str]:

@@ -57,7 +57,9 @@ class SweepCell:
         did change them is a jump-engine defect, invalidated by bumping
         the fast-forward, recurrence or compose schema version.
         """
-        core, mem = _filled(self.core_config, self.mem_config)
+        from repro.model.bounds import filled
+
+        core, mem = filled(self.core_config, self.mem_config)
         return _material({"kind": self.kind, "config": self.config},
                          core, mem, _versions())
 
@@ -93,26 +95,6 @@ def _versions() -> Tuple[Any, ...]:
     )
 
 
-def _filled(core: Any, mem: Any) -> Tuple[Any, Any]:
-    """The simulated machine, a fresh default config for each part a
-    cell leaves unset."""
-    from repro.cpu.config import CoreConfig
-    from repro.mem.config import MemConfig
-
-    return (core if core is not None else CoreConfig(),
-            mem if mem is not None else MemConfig())
-
-
-@lru_cache(maxsize=None)
-def _default_keys() -> Tuple[tuple, tuple]:
-    """The value keys of the default core and memory configs, derived
-    once per process (the configs themselves are not kept)."""
-    from repro.model.bounds import config_key
-
-    core, mem = _filled(None, None)
-    return config_key(core), config_key(mem)
-
-
 def _material(cell: Any, core: Any, mem: Any,
               versions: Tuple[Any, ...]) -> dict:
     """The key material layout, shared by :meth:`SweepCell.key_material`
@@ -139,18 +121,17 @@ def _machine_text(core: Any, mem: Any,
     ``id()``: ``CoreConfig`` is mutable (``unified_queues()`` sets
     ``partitioned`` after construction), so a config changed since its
     last key gets fresh text, and equal configs share one entry.  A
-    default part is looked up by :func:`_default_keys`, so a cell
-    without a config builds and serializes nothing.  A
-    canonicalisation that raises stores nothing.
+    default part is looked up by
+    :func:`repro.model.bounds.machine_keys`, so a cell without a config
+    builds and serializes nothing.  A canonicalisation that raises
+    stores nothing.
     """
-    from repro.model.bounds import config_key
+    from repro.model.bounds import filled, machine_keys
 
-    default_core, default_mem = _default_keys()
-    memo_key = (default_core if core is None else config_key(core),
-                default_mem if mem is None else config_key(mem), versions)
+    memo_key = (*machine_keys(core, mem), versions)
     text = _MACHINE_TEXT.get(memo_key)
     if text is None:
-        core, mem = _filled(core, mem)
+        core, mem = filled(core, mem)
         slotted = canonical_json(_material(_CELL_SLOT, core, mem, versions))
         head, tail = slotted.split(json.dumps(_CELL_SLOT))
         text = _MACHINE_TEXT[memo_key] = (head.encode(), tail.encode())

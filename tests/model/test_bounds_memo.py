@@ -30,7 +30,7 @@ from repro.model import (
 )
 from repro.model import bounds as bounds_mod
 from repro.model import contention as contention_mod
-from repro.model.bounds import clear_memo, config_key
+from repro.model.bounds import clear_memo, config_key, default_keys
 
 
 def _inventory():
@@ -77,6 +77,36 @@ class TestMemoEqualsFreshDerivation:
                 is pair_bounds("fdiv", "fadd", ilp=ILP.MED))
         assert exclusive_demand("fdiv", ILP.MAX) is exclusive_demand(
             "fdiv", ILP.MAX, CoreConfig())
+
+
+class TestDefaultMachineLookups:
+    def test_warm_default_lookup_builds_and_hashes_no_config(
+            self, monkeypatch):
+        warm = (stream_bounds("fadd", sibling="fadd"),
+                pair_bounds("fdiv", "fadd"),
+                exclusive_demand("fdiv", ILP.MAX))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a default lookup built or hashed a config")
+
+        for owner in (bounds_mod, contention_mod):
+            monkeypatch.setattr(owner, "CoreConfig", forbidden)
+        monkeypatch.setattr(bounds_mod, "MemConfig", forbidden)
+        monkeypatch.setattr(bounds_mod, "config_key", forbidden)
+        again = (stream_bounds("fadd", sibling="fadd"),
+                 pair_bounds("fdiv", "fadd"),
+                 exclusive_demand("fdiv", ILP.MAX))
+        assert all(a is b for a, b in zip(again, warm))
+
+    def test_default_keys_are_the_default_configs_keys(self):
+        assert default_keys() == (config_key(CoreConfig()),
+                                  config_key(MemConfig()))
+
+    def test_clear_memo_derives_them_again(self):
+        before = default_keys()
+        clear_memo()
+        after = default_keys()
+        assert after == before and after[0] is not before[0]
 
 
 class TestKeysAreValues:
