@@ -36,8 +36,9 @@ so each one is derived once per process and then looked up
 (:func:`memoized`); every consumer (the oracle, the report sections,
 ``repro model``, ``repro check``, the pair certificates) shares it.  A
 config left ``None`` is looked up by the default machine's value keys,
-derived once per process (:func:`default_keys`): a lookup builds and
-hashes no config.
+derived once per process (:func:`default_keys`), and every config key
+carries its own hash (:class:`ConfigKey`): a lookup builds no config and
+rehashes no field value.
 """
 
 from __future__ import annotations
@@ -100,19 +101,41 @@ _T = TypeVar("_T")
 _MEMO: Dict[tuple, Any] = {}
 
 #: One stored copy of each config key, so the memo's many keys share it.
-_CONFIG_KEYS: Dict[tuple, tuple] = {}
+_CONFIG_KEYS: Dict[tuple, "ConfigKey"] = {}
 
 
-def config_key(config: Any) -> tuple:
+class ConfigKey(tuple):
+    """A config's field values, as a tuple that hashes them once.
+
+    CPython does not cache tuple hashes, and a core config's key nests
+    an ``(Op, OpTiming)`` item per opcode: every dict lookup under a
+    plain tuple key would rehash them all.  Equality stays the tuple's,
+    by value, so a key built after :func:`clear_memo` still finds the
+    entries stored under an equal one (``sweep/cells.py`` keeps its
+    machine texts across a clear).  The stored hash is this process's
+    (string hashes are salted per process), so a key never leaves it.
+    """
+
+    def __new__(cls, items: Any) -> "ConfigKey":
+        key = super().__new__(cls, items)
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+def config_key(config: Any) -> ConfigKey:
     """A hashable key made of a config dataclass's field values.
 
     Dict fields (``CoreConfig.timings``) enter as sorted items.  The key
     is built from values, never ``id()``: ``CoreConfig`` is mutable
     (``unified_queues()`` sets ``partitioned`` after construction), so a
     config changed between two calls gets its own bound, and two equal
-    configs share one.
+    configs share one.  Each call hashes the config's values once; the
+    key it returns hashes in constant time in every later lookup.
     """
-    key = tuple(
+    key = ConfigKey(
         (f.name, tuple(sorted(v.items())) if isinstance(v, dict) else v)
         for f in fields(config) for v in (getattr(config, f.name),))
     return _CONFIG_KEYS.setdefault(key, key)
@@ -133,14 +156,14 @@ def memoized(key: tuple, derive: Callable[[], _T]) -> _T:
 
 
 @lru_cache(maxsize=None)
-def default_keys() -> Tuple[tuple, tuple]:
+def default_keys() -> Tuple[ConfigKey, ConfigKey]:
     """The value keys of the default core and memory configs, derived
     once per process (the configs themselves are not kept)."""
     return config_key(CoreConfig()), config_key(MemConfig())
 
 
 def machine_keys(core: Optional[CoreConfig],
-                 mem: Optional[MemConfig]) -> Tuple[tuple, tuple]:
+                 mem: Optional[MemConfig]) -> Tuple[ConfigKey, ConfigKey]:
     """The value keys of a machine, ``None`` standing for a default
     part: a default part costs a lookup, never a config or a key."""
     default_core, default_mem = default_keys()

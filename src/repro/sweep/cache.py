@@ -29,6 +29,9 @@ class ResultCache:
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
+        #: ``<root>/objects/`` as a string: every entry path is this
+        #: prefix plus ``<key[:2]>/<key>.json``, joined once here.
+        self._objects = os.path.join(self.root, "objects", "")
         try:
             (self.root / "objects").mkdir(parents=True, exist_ok=True)
         except OSError as e:
@@ -36,20 +39,22 @@ class ResultCache:
         if not os.access(self.root, os.W_OK):
             raise CacheError(f"cache dir {self.root} is not writable")
 
-    def _path(self, key: str) -> Path:
-        return self.root / "objects" / key[:2] / f"{key}.json"
+    def _path(self, key: str) -> str:
+        return f"{self._objects}{key[:2]}/{key}.json"
 
     def get(self, key: str) -> Optional[dict]:
         """Return the stored entry for ``key``, or None on miss.
 
-        A present-but-unusable entry (truncated write from a killed
-        process, disk corruption, a foreign file) degrades to a miss
-        with a warning — the sweep recomputes the cell.
+        A hit costs one binary ``read``, an explicit UTF-8 decode and a
+        ``json.loads``.  A present-but-unusable entry (truncated write
+        from a killed process, disk corruption, non-UTF-8 bytes, a
+        directory or a foreign file under the entry's name) degrades to
+        a miss with a warning — the sweep recomputes the cell.
         """
         path = self._path(key)
         try:
-            with open(path) as fp:
-                entry = json.load(fp)
+            with open(path, "rb") as fp:
+                entry = json.loads(fp.read().decode("utf-8"))
         except FileNotFoundError:
             return None
         except (OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
@@ -84,13 +89,13 @@ class ResultCache:
         entry must not lose the sweep that produced it.
         """
         path = self._path(key)
+        shard = os.path.dirname(path)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            os.makedirs(shard, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=shard, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as fp:
-                    json.dump(entry, fp)
-                    fp.write("\n")
+                    fp.write(json.dumps(entry) + "\n")
                     fp.flush()
                     # Without the fsync a crash after the rename could
                     # leave a durable *name* pointing at undurable
@@ -106,5 +111,4 @@ class ResultCache:
                           RuntimeWarning, stacklevel=2)
 
     def __len__(self) -> int:
-        objects = self.root / "objects"
-        return sum(1 for _ in objects.glob("*/*.json"))
+        return sum(1 for _ in Path(self._objects).glob("*/*.json"))

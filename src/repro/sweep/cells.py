@@ -29,11 +29,37 @@ import inspect
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Any, Dict, Optional, Tuple
 
+import repro
 from repro.common.errors import ConfigError
 from repro.sweep.keys import (CACHE_SCHEMA_VERSION, FASTPATH_SCHEMA_VERSION,
                               canonical_json)
+
+
+@lru_cache(maxsize=None)
+def _modules() -> SimpleNamespace:
+    """The modules the keys, recipes, runners and decoders read,
+    imported on first use and then held.
+
+    A function-level ``import`` of a loaded module still costs about a
+    microsecond, and a warm sweep derives hundreds of keys, recipes and
+    decoded results.  None is imported at the top: ``repro.core``
+    imports this module, and ``repro.check``/``repro.model`` would add
+    to every CLI start-up.  Constants are read through the held module
+    at each use, so a patched one is seen.
+    """
+    from repro.check import compose, recurrence
+    from repro.core import apps, coexec, streams, table1
+    from repro.isa import streams as isa_streams
+    from repro.model import bounds
+    from repro.workloads import common
+
+    return SimpleNamespace(apps=apps, bounds=bounds, coexec=coexec,
+                           compose=compose, isa_streams=isa_streams,
+                           recurrence=recurrence, streams=streams,
+                           table1=table1, workloads=common)
 
 
 @dataclass(frozen=True)
@@ -57,9 +83,8 @@ class SweepCell:
         did change them is a jump-engine defect, invalidated by bumping
         the fast-forward, recurrence or compose schema version.
         """
-        from repro.model.bounds import filled
-
-        core, mem = filled(self.core_config, self.mem_config)
+        core, mem = _modules().bounds.filled(self.core_config,
+                                             self.mem_config)
         return _material({"kind": self.kind, "config": self.config},
                          core, mem, _versions())
 
@@ -77,21 +102,23 @@ class SweepCell:
 
 
 def _versions() -> Tuple[Any, ...]:
-    """The schema versions every key carries, read at each call."""
-    from repro import __version__
-    from repro.check.compose import COMPOSE_SCHEMA_VERSION
-    from repro.check.recurrence import RECURRENCE_SCHEMA_VERSION
-    from repro.model.bounds import MODEL_SCHEMA_VERSION
+    """The schema versions every key carries.
 
+    Each module is resolved once per process (:func:`_modules`), but
+    each constant is read from its module at every call, so a bumped
+    (or, in a test, patched) version moves every key at once.
+    """
+    mods = _modules()
     return (
         ("cache_schema_version", CACHE_SCHEMA_VERSION),
         ("fastpath_schema_version", FASTPATH_SCHEMA_VERSION),
-        ("recurrence_schema_version", RECURRENCE_SCHEMA_VERSION),
-        ("compose_schema_version", COMPOSE_SCHEMA_VERSION),
+        ("recurrence_schema_version",
+         mods.recurrence.RECURRENCE_SCHEMA_VERSION),
+        ("compose_schema_version", mods.compose.COMPOSE_SCHEMA_VERSION),
         # Warm hits skip the oracle, so a model change must
         # invalidate every entry it vouched for.
-        ("model_schema_version", MODEL_SCHEMA_VERSION),
-        ("repro_version", __version__),
+        ("model_schema_version", mods.bounds.MODEL_SCHEMA_VERSION),
+        ("repro_version", repro.__version__),
     )
 
 
@@ -123,15 +150,15 @@ def _machine_text(core: Any, mem: Any,
     last key gets fresh text, and equal configs share one entry.  A
     default part is looked up by
     :func:`repro.model.bounds.machine_keys`, so a cell without a config
-    builds and serializes nothing.  A canonicalisation that raises
-    stores nothing.
+    builds and serializes nothing.  The config keys carry their own
+    hashes (:class:`repro.model.bounds.ConfigKey`), so a lookup rehashes
+    no field value.  A canonicalisation that raises stores nothing.
     """
-    from repro.model.bounds import filled, machine_keys
-
-    memo_key = (*machine_keys(core, mem), versions)
+    bounds = _modules().bounds
+    memo_key = (*bounds.machine_keys(core, mem), versions)
     text = _MACHINE_TEXT.get(memo_key)
     if text is None:
-        core, mem = filled(core, mem)
+        core, mem = bounds.filled(core, mem)
         slotted = canonical_json(_material(_CELL_SLOT, core, mem, versions))
         head, tail = slotted.split(json.dumps(_CELL_SLOT))
         text = _MACHINE_TEXT[memo_key] = (head.encode(), tail.encode())
@@ -209,12 +236,12 @@ def stream_recipe(name: str) -> dict:
     """The semantic fingerprint of one synthetic stream: its opcode
     rotation and memory stride.  Part of every stream/pair cell key, so
     redefining one stream invalidates exactly its row/column."""
-    from repro.isa.streams import DEFAULT_MEM_STRIDE, STREAM_OPS
-
-    if name not in STREAM_OPS:
+    isa_streams = _modules().isa_streams
+    ops = isa_streams.STREAM_OPS.get(name)
+    if ops is None:
         raise ConfigError(f"unknown stream {name!r}")
-    return {"ops": [op.name for op in STREAM_OPS[name]],
-            "stride": DEFAULT_MEM_STRIDE}
+    return {"ops": [op.name for op in ops],
+            "stride": isa_streams.DEFAULT_MEM_STRIDE}
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +252,7 @@ def stream_cell(name: str, ilp, threads: int,
                 horizon_ticks: Optional[int] = None,
                 core_config=None, mem_config=None) -> SweepCell:
     """One fig.-1 cell (also the solo baselines of fig. 2)."""
-    from repro.core.streams import MEASURE_HORIZON_TICKS
-
+    horizon = horizon_ticks or _modules().streams.MEASURE_HORIZON_TICKS
     return SweepCell(
         kind="stream-cpi",
         config={
@@ -234,7 +260,7 @@ def stream_cell(name: str, ilp, threads: int,
             "recipe": stream_recipe(name),
             "ilp": ilp.name,
             "threads": threads,
-            "horizon_ticks": horizon_ticks or MEASURE_HORIZON_TICKS,
+            "horizon_ticks": horizon,
         },
         core_config=core_config,
         mem_config=mem_config,
@@ -246,8 +272,7 @@ def pair_cell(name_a: str, name_b: str, ilp,
               core_config=None, mem_config=None) -> SweepCell:
     """One fig.-2 co-execution cell (raw dual-thread CPIs only; the
     driver combines them with the cached solo baselines)."""
-    from repro.core.coexec import PAIR_HORIZON_TICKS
-
+    horizon = horizon_ticks or _modules().coexec.PAIR_HORIZON_TICKS
     return SweepCell(
         kind="coexec-pair",
         config={
@@ -256,7 +281,7 @@ def pair_cell(name_a: str, name_b: str, ilp,
             "recipe_a": stream_recipe(name_a),
             "recipe_b": stream_recipe(name_b),
             "ilp": ilp.name,
-            "horizon_ticks": horizon_ticks or PAIR_HORIZON_TICKS,
+            "horizon_ticks": horizon,
         },
         core_config=core_config,
         mem_config=mem_config,
@@ -302,12 +327,11 @@ class StreamCPIRunner(CellRunner):
     fields = ("stream", "ilp", "threads", "horizon_ticks")
 
     def run(self, cell: SweepCell):
-        from repro.core.streams import measure_stream_cpi
-        from repro.isa.streams import ILP
-
+        mods = _modules()
         c = cell.config
-        return measure_stream_cpi(
-            c["stream"], ilp=ILP[c["ilp"]], threads=c["threads"],
+        return mods.streams.measure_stream_cpi(
+            c["stream"], ilp=mods.isa_streams.ILP[c["ilp"]],
+            threads=c["threads"],
             horizon_ticks=c["horizon_ticks"],
             core_config=cell.core_config, mem_config=cell.mem_config,
         )
@@ -324,12 +348,10 @@ class StreamCPIRunner(CellRunner):
         }
 
     def decode(self, payload: dict):
-        from repro.core.streams import StreamCPIResult
-        from repro.isa.streams import ILP
-
-        return StreamCPIResult(
+        mods = _modules()
+        return mods.streams.StreamCPIResult(
             stream=payload["stream"],
-            ilp=ILP[payload["ilp"]],
+            ilp=mods.isa_streams.ILP[payload["ilp"]],
             threads=payload["threads"],
             cpi=payload["cpi"],
             cumulative_ipc=payload["cumulative_ipc"],
@@ -344,12 +366,10 @@ class CoexecPairRunner(CellRunner):
     fields = ("stream_a", "stream_b", "ilp", "horizon_ticks")
 
     def run(self, cell: SweepCell):
-        from repro.core.coexec import run_pair_cpis
-        from repro.isa.streams import ILP
-
+        mods = _modules()
         c = cell.config
-        return run_pair_cpis(
-            c["stream_a"], c["stream_b"], ilp=ILP[c["ilp"]],
+        return mods.coexec.run_pair_cpis(
+            c["stream_a"], c["stream_b"], ilp=mods.isa_streams.ILP[c["ilp"]],
             core_config=cell.core_config, mem_config=cell.mem_config,
             horizon_ticks=c["horizon_ticks"],
         )
@@ -368,12 +388,10 @@ class AppRunRunner(CellRunner):
     fields = ("app", "variant", "size")
 
     def run(self, cell: SweepCell):
-        from repro.core.apps import run_app_experiment
-        from repro.workloads.common import Variant
-
+        mods = _modules()
         c = cell.config
-        return run_app_experiment(
-            c["app"], Variant(c["variant"]), dict(c["size"]),
+        return mods.apps.run_app_experiment(
+            c["app"], mods.workloads.Variant(c["variant"]), dict(c["size"]),
             core_config=cell.core_config, mem_config=cell.mem_config,
         )
 
@@ -395,12 +413,10 @@ class AppRunRunner(CellRunner):
         }
 
     def decode(self, payload: dict):
-        from repro.core.apps import AppRunResult
-        from repro.workloads.common import Variant
-
-        return AppRunResult(
+        mods = _modules()
+        return mods.apps.AppRunResult(
             app=payload["app"],
-            variant=Variant(payload["variant"]),
+            variant=mods.workloads.Variant(payload["variant"]),
             size=dict(payload["size"]),
             cycles=payload["cycles"],
             l2_misses=payload["l2_misses"],
@@ -421,10 +437,9 @@ class Table1RowRunner(CellRunner):
     fields = ("app", "column", "size")
 
     def run(self, cell: SweepCell):
-        from repro.core.table1 import table1_row
-
         c = cell.config
-        return table1_row(c["app"], c["column"], dict(c["size"]))
+        return _modules().table1.table1_row(c["app"], c["column"],
+                                            dict(c["size"]))
 
     def encode(self, result) -> dict:
         return {
@@ -435,9 +450,7 @@ class Table1RowRunner(CellRunner):
         }
 
     def decode(self, payload: dict):
-        from repro.core.table1 import Table1Row
-
-        return Table1Row(
+        return _modules().table1.Table1Row(
             app=payload["app"],
             column=payload["column"],
             percentages=dict(payload["percentages"]),

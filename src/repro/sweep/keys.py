@@ -87,10 +87,17 @@ def canonicalize(obj: Any) -> Any:
     )
 
 
+#: One encoder for every key: ``json.dumps`` with a non-default argument
+#: builds a new ``JSONEncoder`` per call.  Encoding is reentrant, so the
+#: serve threads share it.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj: Any) -> str:
-    """The canonical text form hashed by :func:`cache_key`."""
-    return json.dumps(canonicalize(obj), sort_keys=True,
-                      separators=(",", ":"))
+    """The canonical text form hashed by :func:`cache_key`: the text of
+    ``json.dumps(canonicalize(obj), sort_keys=True, separators=(",",
+    ":"))``."""
+    return _CANONICAL.encode(canonicalize(obj))
 
 
 def cache_key(material: Any) -> str:

@@ -76,6 +76,11 @@ ENV_VAR = "REPRO_TELEMETRY"
 ENV_DIR_VAR = "REPRO_TELEMETRY_DIR"
 DEFAULT_DIR = ".repro-telemetry"
 
+#: The one encoder every record goes through: ``json.dumps`` with a
+#: non-default argument builds a new ``JSONEncoder`` per call.  The
+#: lines are those of ``json.dumps(record, separators=(",", ":"))``.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
 
 def schema_fingerprint() -> str:
     """SHA-256 digest of the full schema declaration.
@@ -201,7 +206,7 @@ class TelemetryBus:
                   "pid": os.getpid(), "run": self.run_id}
         record.update(fields)
         validate_event(record)
-        line = json.dumps(record, separators=(",", ":")) + "\n"
+        line = _ENCODER.encode(record) + "\n"
         os.write(self._fd, line.encode())
         return record
 

@@ -52,6 +52,55 @@ class TestTornObjects:
         with pytest.warns(RuntimeWarning, match="malformed"):
             assert cache.get(KEY) is None
 
+    def test_non_utf8_entry_degrades_to_miss(self, tmp_path):
+        """An entry is read as bytes and decoded as UTF-8: bytes that
+        do not decode are a corrupt entry, not an exception."""
+        cache = ResultCache(tmp_path)
+        path = _final_path(cache)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b'{"result": {"s": "\xff\xfe"}}')
+        with pytest.warns(RuntimeWarning,
+                          match="corrupt.*can't decode byte 0xff"):
+            assert cache.get(KEY) is None
+
+    def test_directory_at_entry_path_degrades_to_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        _final_path(cache).mkdir(parents=True)
+        with pytest.warns(RuntimeWarning, match="corrupt.*Is a directory"):
+            assert cache.get(KEY) is None
+
+    @pytest.mark.parametrize("stored", [
+        [ENTRY],
+        {**ENTRY, "result": [1.0]},
+        {**ENTRY, "result": None},
+    ], ids=["top-level-list", "result-list", "result-null"])
+    def test_entry_of_the_wrong_shape_degrades_to_miss(self, tmp_path,
+                                                       stored):
+        cache = ResultCache(tmp_path)
+        path = _final_path(cache)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(stored))
+        with pytest.warns(RuntimeWarning, match="malformed"):
+            assert cache.get(KEY) is None
+
+    def test_non_ascii_utf8_entry_reads_back(self, tmp_path):
+        """``put`` writes ASCII, but a UTF-8 entry is read whatever the
+        locale's encoding."""
+        cache = ResultCache(tmp_path)
+        path = _final_path(cache)
+        path.parent.mkdir(parents=True)
+        entry = {**ENTRY, "config": {"stream": "iadd\u00e9"}}
+        path.write_bytes(json.dumps(entry, ensure_ascii=False)
+                         .encode("utf-8"))
+        assert cache.get(KEY) == entry
+
+    def test_put_writes_the_json_dumps_bytes(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put(KEY, ENTRY)
+        assert _final_path(cache).read_bytes() == \
+            (json.dumps(ENTRY) + "\n").encode()
+        assert len(cache) == 1
+
     def test_miss_then_overwrite_recovers(self, tmp_path):
         cache = ResultCache(tmp_path)
         _final_path(cache).parent.mkdir(parents=True)

@@ -3,6 +3,7 @@
 import json
 import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -84,7 +85,7 @@ class TestCaching:
         cache = ResultCache(tmp_path)
         clean = SweepEngine(cache=cache).run(cells)
 
-        victim = cache._path(cells[0].key())
+        victim = Path(cache._path(cells[0].key()))
         victim.write_text("{ not json")
         with pytest.warns(RuntimeWarning, match="corrupt sweep-cache entry"):
             engine = SweepEngine(cache=ResultCache(tmp_path))
@@ -101,7 +102,8 @@ class TestCaching:
         cells = _cells()[:1]
         cache = ResultCache(tmp_path)
         SweepEngine(cache=cache).run(cells)
-        cache._path(cells[0].key()).write_text(json.dumps({"result": 7}))
+        victim = Path(cache._path(cells[0].key()))
+        victim.write_text(json.dumps({"result": 7}))
         with pytest.warns(RuntimeWarning, match="malformed sweep-cache"):
             engine = SweepEngine(cache=ResultCache(tmp_path))
             engine.run(cells)

@@ -291,3 +291,53 @@ class TestMemoizedMachineForm:
         monkeypatch.setattr(core_module, "CoreConfig", forbidden)
         monkeypatch.setattr(mem_module, "MemConfig", forbidden)
         assert cell.key() == first
+
+    def test_machine_texts_outlive_clear_memo(self):
+        """The stored machine texts are kept across ``clear_memo()``,
+        so a machine keyed after a clear must never find the text of
+        another machine keyed before it."""
+        from repro.model.bounds import clear_memo
+
+        cells = [stream_cell("fadd", ILP.MAX, 1, core_config=core)
+                 for core in (None, CoreConfig.unified_queues())]
+        keys = [cell.key() for cell in cells]
+        clear_memo()
+        assert [cell.key() for cell in reversed(cells)] == keys[::-1]
+        assert keys == [cache_key(cell.key_material()) for cell in cells]
+
+
+class TestPinnedKeys:
+    """Cache keys pinned by value.  Every stored entry is addressed by
+    one of these digests, so a change that moves a key's bytes turns
+    every existing cache cold.  A version bump, a stream recipe or a
+    workload source edit moves them on purpose: re-record the pins
+    then, and only then."""
+
+    @pytest.mark.parametrize("make, key", [
+        (lambda: stream_cell("iadd", ILP.MAX, 1),
+         "d328dc03cde17f49c92da4f5944f12c2eda08668ba2b3a31ebdb467055382943"),
+        (lambda: pair_cell("fdiv", "fadd", ILP.MAX),
+         "5022581abef41947b9c87b6c2787186d65a20b8c1acc80632f2d48a3ad990df6"),
+        (lambda: app_cell("lu", Variant.SERIAL, {"n": 32}),
+         "9a77a2cbee011be6f99a2331db81ed0e012e023b0548a755266d379ebcdcade3"),
+        (lambda: table1_cell("mm", "serial", {"n": 16}),
+         "498a9b953adc8d367951410a73b816011fa68aadb3ec14c0418379d67437dfdb"),
+        (lambda: stream_cell("fadd", ILP.MIN, 2,
+                             core_config=CoreConfig.unified_queues()),
+         "df0851d5f4e5b4f2f221038396a71e1fef444afef4dc8648b419ca634af3a6a1"),
+        (lambda: app_cell("mm", Variant.SERIAL, {"n": 16},
+                          core_config=CoreConfig.unified_queues()),
+         "fa97e7883c2d1fbf533f58665dd2b26d03fe19353c4b917686fda9d517ea4db8"),
+        (lambda: stream_cell("iload", ILP.MED, 2,
+                             mem_config=MemConfig(prefetch_degree=4)),
+         "2896a13daf95e56b543e7893f57447170908fed22234f929347823a8d4bb555e"),
+        (lambda: app_cell("mm", Variant.SERIAL, {"n": 16},
+                          mem_config=MemConfig.no_prefetch()),
+         "bada12de75fb3c5f4a694f5e95259e993c00dee01ec41e00000bb2b923aebe44"),
+    ], ids=["fig1-stream", "fig2-pair", "app-lu", "table1",
+            "unified-queues-stream", "unified-queues-app",
+            "mem-config-stream", "no-prefetch-app"])
+    def test_key_bytes_are_pinned(self, make, key):
+        cell = make()
+        assert cell.key() == key
+        assert cache_key(cell.key_material()) == key

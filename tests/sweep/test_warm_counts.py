@@ -10,6 +10,7 @@ timing.
 """
 
 import argparse
+import builtins
 import io
 import json
 from collections import Counter
@@ -17,7 +18,7 @@ from collections import Counter
 import pytest
 
 from repro import cli
-from repro.cpu.config import CoreConfig
+from repro.cpu.config import CoreConfig, OpTiming
 from repro.mem.config import MemConfig
 from repro.model import bounds as bounds_mod
 from repro.observe import report as report_mod
@@ -114,6 +115,38 @@ def test_warm_op_rehashes_no_config_and_writes_once(tmp_path, monkeypatch,
     assert warm == json.dumps(json.loads(warm), indent=2) + "\n"
     assert report_mod.strip_volatile(json.loads(warm)) == \
         report_mod.strip_volatile(cold)
+
+
+@pytest.mark.parametrize("argv, imports", [
+    (["fig1", "--streams", "iadd"], 10),
+    (["fig2", "--panel", "c", "--ilp", "max"], 10),
+], ids=["fig1", "fig2c"])
+def test_warm_op_resolves_hashes_and_reads_once(tmp_path, monkeypatch,
+                                                argv, imports):
+    """Per warm op, telemetry on: the ``import`` statements are the
+    CLI's own, none per cell; no config key is rehashed; no JSON encoder
+    is built, for keys or telemetry lines; and every hit is one
+    ``open``, plus one for the report."""
+    monkeypatch.setenv("REPRO_TELEMETRY", "1")
+    report = tmp_path / "report.json"
+    argv = argv + ["--telemetry-dir", str(tmp_path / "telemetry"),
+                   "--cache-dir", str(tmp_path / "cache"),
+                   "--report", str(report)]
+    assert cli.main(argv) == 0            # cold: fills cache and memos
+
+    counts = Counter()
+    _count(monkeypatch, counts, builtins, "__import__", "import")
+    _count(monkeypatch, counts, builtins, "open", "open")
+    _count(monkeypatch, counts, OpTiming, "__hash__", "OpTiming.__hash__")
+    _count(monkeypatch, counts, json.JSONEncoder, "__init__", "encoder")
+    assert cli.main(argv) == 0
+    monkeypatch.undo()
+    assert len(list((tmp_path / "telemetry").iterdir())) == 2
+    hits = json.loads(report.read_text())["sweep"]["cache_hits"]
+    assert hits > 0
+    # A Counter compares a missing count as 0.
+    assert counts == Counter({"import": imports, "OpTiming.__hash__": 0,
+                              "encoder": 0, "open": hits + 1})
 
 
 def test_write_report_to_a_stream_is_one_write():

@@ -34,6 +34,8 @@ class TestSchema:
                        for ev, fields in sorted(EVENT_FIELDS.items())]
         read = list(read_events(str(log), validate=True))
         assert read == emitted
+        assert log.read_text() == "".join(
+            json.dumps(r, separators=(",", ":")) + "\n" for r in emitted)
         assert all(r["v"] == TELEMETRY_SCHEMA_VERSION for r in read)
         assert all(r["pid"] == os.getpid() for r in read)
 
