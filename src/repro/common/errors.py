@@ -50,16 +50,10 @@ def format_cli_error(prog: str, message) -> str:
     return f"{prog}: error: {message}"
 
 
-class WorkerTimeout(ReproError):
-    """Raised when a pool worker does not return a cell's result within
-    its bound — most often because the worker process died mid-cell.
-    The message names the cell(s) and the bound that expired."""
-
-
 class WorkerLost(ReproError):
-    """Raised when a pool worker of a CLI sweep dies mid-cell.  The
-    message names the cells that did not finish; nothing of the batch
-    is published."""
+    """Raised when a pool worker (of a CLI sweep or the daemon) dies
+    mid-cell.  The message names the cells that did not finish; nothing
+    of the batch is published."""
 
 
 class SimulationError(ReproError):

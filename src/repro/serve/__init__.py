@@ -3,8 +3,9 @@
 The CLI pays interpreter start-up, static preflight, and pool spin-up
 on every invocation — even when every requested cell is already in the
 content-addressed object store.  This package keeps all of that
-resident: a persistent worker pool behind an asyncio HTTP/JSON daemon,
-with two performance pillars:
+resident: a persistent process-pool executor (the CLI engine's own,
+failing a dead worker's cells at once with ``WorkerLost``) behind an
+asyncio HTTP/JSON daemon, with two performance pillars:
 
 * a **warm-hit fast path** that answers straight from the object
   store — no pool dispatch, no preflight, no oracle re-run (the store
@@ -20,7 +21,7 @@ stack):
 
 * :mod:`repro.serve.coalesce`  — the single-flight table;
 * :mod:`repro.serve.scheduler` — the engine's cell pipeline behind the
-  flight table, a persistent pool, counters, telemetry;
+  flight table, a persistent executor, counters, telemetry;
 * :mod:`repro.serve.targets`   — named sweep targets (fig1/fig2/app/
   table1) resolved to cells + the report builder; the CLI figure verbs
   use the same resolver, so served manifests are byte-identical to

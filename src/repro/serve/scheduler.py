@@ -1,4 +1,4 @@
-"""The serving scheduler: persistent pool, warm fast path, coalescing.
+"""The serving scheduler: persistent executor, warm fast path, coalescing.
 
 One :class:`CellScheduler` lives for the whole daemon.  Its
 :meth:`fetch` is the single entry point every request handler uses.
@@ -12,10 +12,10 @@ re-running any check.  What the daemon adds:
   cells nobody else is computing and joins the flights of cells
   already in the air; the leader runs the pipeline over the cells it
   leads and lands their flights with the computed text;
-* the **persistent worker pool** (``apply_async`` per cell —
-  submission-order collection keeps results deterministic), running
-  the engine's own :func:`repro.sweep.engine._execute_task`, so a cell
-  computed by the daemon is byte-identical to one computed by the CLI;
+* one **persistent executor**, built and drained by the CLI engine's
+  own :func:`~repro.sweep.engine._new_executor` and ``_run_tasks``, so
+  a cell computed here is byte-identical to the CLI's, and a dead
+  worker fails its cells at once (the next batch builds a new executor);
 * its counters.
 
 Counters (:class:`ServeCounters`) are the observable contract the
@@ -27,24 +27,23 @@ exactly one ``simulations`` increment.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.errors import CheckError, ConfigError, WorkerTimeout
+from repro.common.errors import CheckError, ConfigError, WorkerLost
 from repro.serve.coalesce import SingleFlight
 from repro.sweep.cache import ResultCache
 from repro.sweep.cells import SweepCell, cell_label, runner_for
-from repro.sweep.engine import CellPipeline, Task, _execute_task, _new_pool
+from repro.sweep.engine import CellPipeline, Task, _new_executor, _run_tasks
 from repro.telemetry.bus import TelemetryBus
 from repro.telemetry.bus import now as _now
 
 #: Ceiling on how long a joiner waits for a leader's flight.  Far
 #: above any single cell's wall time; a wait this long means the
-#: leader died without landing the flight, and hanging the client
-#: forever helps nobody.
+#: leader's thread died without landing the flight (a dead worker
+#: fails it at once), and hanging the client forever helps nobody.
 FLIGHT_TIMEOUT_S = 600.0
 
 
@@ -54,8 +53,7 @@ class ServeCounters:
 
     ``simulations`` counts cells actually executed (each exactly once
     per computation, coalescing included); ``pool_dispatches`` counts
-    tasks handed to the worker pool.  They track each other unless the
-    pool is unavailable and execution fell back inline.
+    tasks handed to the worker pool.
     """
 
     batches: int = 0
@@ -150,27 +148,33 @@ class CellScheduler(CellPipeline):
     # -- pool lifecycle ------------------------------------------------
 
     def start(self) -> None:
-        """Spin the persistent pool up-front (daemon start sequence).
+        """Fork the executor's workers up-front (daemon start sequence).
 
         Forking after the event loop and executor threads exist is
         legal but fragile; the daemon calls this before it opens the
         listening socket so workers inherit a quiet parent.  Also the
-        point of the exercise: clients never pay pool spin-up.
+        point of the exercise: clients never pay pool spin-up.  The
+        executor forks at its first submit, hence one trivial task.
         """
-        self._ensure_pool()
+        self._ensure_pool().submit(os.getpid).result()
 
     def _ensure_pool(self) -> Any:
         with self._pool_lock:
             if self._pool is None:
-                self._pool = _new_pool(self.jobs, self.telemetry)
+                self._pool = _new_executor(self.jobs, self.telemetry)
             return self._pool
 
     def close(self) -> None:
         with self._pool_lock:
-            if self._pool is not None:
-                self._pool.terminate()
-                self._pool.join()
-                self._pool = None
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            # shutdown() waits for a running cell to finish, and Python
+            # 3.10-3.12 has no public way to stop one (terminate_workers
+            # arrives in 3.14), so end the workers first through the
+            # executor's private process table.
+            for proc in list(pool._processes.values()):
+                proc.terminate()
+            pool.shutdown(wait=True, cancel_futures=True)
         if self.telemetry is not None:
             self.telemetry.close()
 
@@ -305,7 +309,7 @@ class CellScheduler(CellPipeline):
         Every led flight is landed exactly once no matter how this
         method exits.  Success resolves each flight with its canonical
         text; *any* exception — a check rejection, a worker exception
-        re-raised by the pool, pool construction failure, a store
+        re-raised by the executor, a dead worker, a store
         error — fails every still-open flight before propagating.  A
         flight left unlanded would wedge its key permanently: current
         joiners block out FLIGHT_TIMEOUT_S and every future request
@@ -329,29 +333,21 @@ class CellScheduler(CellPipeline):
             self.counters.add(preflight_rejected=n, errors=1)
 
     def _execute(self, tasks: List[Task]) -> List[Tuple[str, dict]]:
-        """Shard led cells across the persistent pool, in order.
+        """Run led cells on the persistent executor, in order.
 
-        A worker killed mid-cell loses its task without a trace, so
-        each wait is bounded like a joiner's: the timeout propagates as
-        a :class:`WorkerTimeout` naming the cells still outstanding, and
-        :meth:`_lead` fails the flights instead of wedging them.
+        On :class:`WorkerLost` the broken executor is dropped (only if
+        still current, so leaders that lost it together leave one fresh
+        executor for later batches); :meth:`_lead` fails the flights.
         """
         pool = self._ensure_pool()
-        pending = []
-        for task in tasks:
-            pending.append(pool.apply_async(_execute_task, (task,)))
-            self.counters.add(pool_dispatches=1, simulations=1)
-        out = []
-        for j, p in enumerate(pending):
-            try:
-                out.append(p.get(FLIGHT_TIMEOUT_S))
-            except multiprocessing.TimeoutError:
-                labels = ", ".join(task[2] for task in tasks[j:])
-                raise WorkerTimeout(
-                    f"no worker result for cell(s) {labels} within "
-                    f"FLIGHT_TIMEOUT_S={FLIGHT_TIMEOUT_S}s; the worker "
-                    f"may have died mid-cell") from None
-        return out
+        self.counters.add(pool_dispatches=len(tasks), simulations=len(tasks))
+        try:
+            return _run_tasks(pool, tasks)
+        except WorkerLost:
+            with self._pool_lock:
+                if self._pool is pool:
+                    self._pool = None
+            raise
 
     # -- introspection -------------------------------------------------
 

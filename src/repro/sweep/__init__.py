@@ -9,7 +9,7 @@ driver into a cell enumerator and centralizes execution:
 * :class:`SweepCell` — one self-contained, picklable measurement
   (:mod:`repro.sweep.cells`);
 * :class:`SweepEngine` — ordered, deterministic fan-out across a
-  ``multiprocessing`` pool (``jobs=1`` = the old serial path) with
+  process-pool executor (``jobs=1`` = the old serial path) with
   per-cell memoization (:mod:`repro.sweep.engine`);
 * :class:`ResultCache` — on-disk content-addressed store keyed by a
   canonical hash of (cell config, simulator config, schema version,

@@ -10,11 +10,11 @@ implemented once in :class:`CellPipeline`:
    stored, without re-running any check;
 2. **preflight** — the static checks (:func:`repro.check.preflight_cells`)
    over the cells that missed;
-3. **execute** — the front end's executor runs the misses (the engine:
-   in-process when ``jobs == 1``, else a per-run process-pool
-   executor whose results come back in submission order, and which
-   ends the run with :class:`~repro.common.errors.WorkerLost` the
-   moment a worker dies mid-cell);
+3. **execute** — :func:`_run_tasks` runs the misses on an executor
+   from :func:`_new_executor` (the engine: in-process when ``jobs ==
+   1``, else one per run; the daemon: one persistent executor), in
+   submission order; a worker that dies mid-cell fails the batch's
+   unfinished cells at once with :class:`~repro.common.errors.WorkerLost`;
 4. **oracle** — the differential model oracle
    (:func:`repro.model.oracle_cells`) over the fresh results;
 5. **publish** — the fresh results go to the cache.
@@ -128,26 +128,47 @@ def _execute_task(task: Task) -> Tuple[str, dict]:
     return text, meta
 
 
-def _pool_context() -> Any:
-    """The start method every worker pool uses."""
+def _new_executor(jobs: int, bus: Optional[TelemetryBus]) -> Any:
+    """A process-pool executor of ``jobs`` workers carrying the parent's
+    fast-forward default and telemetry target (see :func:`_pool_init`);
+    the CLI builds one per run, the daemon keeps one until a worker dies.
+    """
+    # Imported here: it would add about 10 ms to every CLI start-up,
+    # and only --jobs > 1 and the daemon need it.
+    from concurrent.futures import ProcessPoolExecutor
+
     # Fork keeps the parent's hash seed and registry state in the
     # children; fall back to the platform default elsewhere.
     methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
+    context = multiprocessing.get_context("fork" if "fork" in methods else None)
+    return ProcessPoolExecutor(
+        max_workers=jobs, mp_context=context, initializer=_pool_init,
+        initargs=(_fastpath.default_enabled(),
+                  bus.path if bus is not None else None,
+                  bus.run_id if bus is not None else None))
 
 
-def _pool_initargs(bus: Optional[TelemetryBus]) -> tuple:
-    """:func:`_pool_init`'s arguments for a pool serving ``bus``."""
-    return (_fastpath.default_enabled(),
-            bus.path if bus is not None else None,
-            bus.run_id if bus is not None else None)
+def _run_tasks(executor: Any, tasks: List[Task]) -> List[Tuple[str, dict]]:
+    """Run ``tasks`` on ``executor``, results in submission order.
 
+    A dead worker breaks the executor and fails every unfinished task at
+    once (a ``multiprocessing`` pool would leave its task unanswered
+    forever): that becomes :class:`WorkerLost` naming their cells.
+    """
+    from concurrent.futures.process import BrokenProcessPool
 
-def _new_pool(processes: int, bus: Optional[TelemetryBus]) -> Any:
-    """A persistent worker pool (the daemon's) carrying the parent's
-    fast-forward default and telemetry target (see :func:`_pool_init`)."""
-    return _pool_context().Pool(processes=processes, initializer=_pool_init,
-                                initargs=_pool_initargs(bus))
+    futures: List[Any] = []
+    try:
+        for task in tasks:
+            futures.append(executor.submit(_execute_task, task))
+        return [f.result() for f in futures]
+    except BrokenProcessPool:
+        # Tasks never submitted (the executor broke first) are lost too.
+        lost = [label for j, (_i, _cell, label, _ts) in enumerate(tasks)
+                if j >= len(futures) or futures[j].exception() is not None]
+        raise WorkerLost(
+            f"a pool worker died mid-cell; {len(lost)} cell(s) "
+            f"did not finish: {', '.join(lost)}") from None
 
 
 class CellPipeline:
@@ -424,26 +445,8 @@ class SweepEngine(CellPipeline):
                 return [_execute_task(t) for t in tasks]
             finally:
                 _worker_bus = prev
-        # An executor, not a multiprocessing.Pool: a worker killed
-        # mid-cell breaks the executor at once instead of leaving its
-        # task unanswered forever.  Imported here: it would add about
-        # 10 ms to every CLI start-up, and only --jobs > 1 needs it.
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        pool = ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(tasks)),
-            mp_context=_pool_context(), initializer=_pool_init,
-            initargs=_pool_initargs(self.telemetry))
+        executor = _new_executor(min(self.jobs, len(tasks)), self.telemetry)
         try:
-            futures = [pool.submit(_execute_task, t) for t in tasks]
-            try:
-                return [f.result() for f in futures]
-            except BrokenProcessPool:
-                lost = [label for (_i, _cell, label, _ts), f
-                        in zip(tasks, futures) if f.exception() is not None]
-                raise WorkerLost(
-                    f"a pool worker died mid-cell; {len(lost)} cell(s) "
-                    f"did not finish: {', '.join(lost)}") from None
+            return _run_tasks(executor, tasks)
         finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+            executor.shutdown(wait=True, cancel_futures=True)

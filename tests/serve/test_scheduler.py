@@ -1,7 +1,9 @@
 """CellScheduler behaviour: warm path, cold path, cache interop,
 oracle rejection, preflight rejection, leader-failure flight landing,
-a worker killed mid-cell, concurrent coalescing."""
+a worker killed mid-cell (leader and joiners), close() with a cell
+running, ENOSPC on publish, concurrent coalescing."""
 
+import errno
 import json
 import os
 import signal
@@ -10,12 +12,13 @@ import time
 
 import pytest
 
-from repro.common.errors import CheckError, ConfigError
+from repro.common.errors import CheckError, ConfigError, WorkerLost
 from repro.isa.streams import ILP
-from repro.serve import scheduler as scheduler_mod
 from repro.serve.client import ServeError
 from repro.serve.scheduler import CellScheduler
 from repro.sweep import ResultCache, SweepEngine, runner_for, stream_cell
+from repro.sweep import cache as cache_mod
+from repro.sweep import engine as engine_mod
 from repro.sweep.cells import cell_label
 
 #: Small horizon: each cell runs in tens of milliseconds while still
@@ -258,42 +261,207 @@ class TestLeaderFailureLandsFlights:
             s.close()
 
 
+#: Paths the worker stand-ins below coordinate through.  A test sets
+#: them before the executor forks, so its workers inherit them.
+_WORKER_FILES = {"release": "", "pid": ""}
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.01)
+
+
 def _kill_own_worker(task):
     """Pool task stand-in: the worker dies mid-cell, losing the task."""
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _kill_own_worker_on_release(task):
+    """Like :func:`_kill_own_worker`, once the release file exists."""
+    _wait_for(lambda: os.path.exists(_WORKER_FILES["release"]), 30.0)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _hang_in_worker(task):
+    """Pool task stand-in: a cell that runs far longer than any test."""
+    with open(_WORKER_FILES["pid"], "w") as fp:
+        fp.write(str(os.getpid()))
+    time.sleep(30)
+
+
+def _spec(cell):
+    return {"kind": cell.kind, "config": cell.config}
+
+
 class TestDeadWorker:
     def test_killed_worker_fails_in_bounded_time_and_frees_the_key(
             self, tmp_path, monkeypatch, daemon_factory):
-        """A worker killed mid-cell never returns its result.  The
-        leader's wait is bounded, the request fails as a counted 500,
-        and the key is immediately retryable."""
-        bound = 2.0
-        monkeypatch.setattr(scheduler_mod, "FLIGHT_TIMEOUT_S", bound)
-        monkeypatch.setattr(scheduler_mod, "_execute_task",
-                            _kill_own_worker)
+        """A worker killed mid-cell breaks the executor at once: the
+        request fails as a counted 500 naming the lost cell, without
+        waiting out FLIGHT_TIMEOUT_S, and the key is immediately
+        retryable on a fresh executor."""
+        monkeypatch.setattr(engine_mod, "_execute_task", _kill_own_worker)
         d = daemon_factory(cache_dir=str(tmp_path), telemetry=False)
         cell = _cells(names=("iadd",))[0]
-        spec = {"kind": cell.kind, "config": cell.config}
         with d.client() as c:
             t0 = time.monotonic()
             with pytest.raises(ServeError) as exc:
-                c.cells([spec])
-            assert time.monotonic() - t0 < bound + 10.0
+                c.cells([_spec(cell)])
+            assert time.monotonic() - t0 < 10.0
             assert exc.value.status == 500
             error = exc.value.payload["error"]
-            assert error.startswith("WorkerTimeout: ")
+            assert error.startswith("WorkerLost: ")
             assert cell_label(cell) in error
-            assert f"FLIGHT_TIMEOUT_S={bound}s" in error
             stats = c.stats()
             assert stats["in_flight"] == 0
             assert stats["counters"]["errors"] == 1
+            # The broken executor was dropped, not restarted behind the
+            # caller's back.
+            assert stats["pool_live"] is False
 
             monkeypatch.undo()
-            retry = c.cells([spec])
+            retry = c.cells([_spec(cell)])
+            assert c.stats()["pool_live"] is True
         assert retry["serve"]["led"] == 1
         assert retry["results"][0]["cpi"] > 0
+
+    def test_joiners_of_a_lost_cell_fail_with_its_leader(
+            self, tmp_path, monkeypatch, daemon_factory):
+        """Two concurrent requests for one cold cell whose worker dies:
+        the leader and its joiner both get the WorkerLost 500 at once,
+        the key is free, and the next request leads the cell on a
+        rebuilt executor."""
+        release = tmp_path / "release"
+        monkeypatch.setitem(_WORKER_FILES, "release", str(release))
+        monkeypatch.setattr(engine_mod, "_execute_task",
+                            _kill_own_worker_on_release)
+        d = daemon_factory(cache_dir=str(tmp_path / "cache"),
+                           telemetry=False)
+        cell = _cells(names=("iadd",))[0]
+        flights = d.scheduler._flights
+        errors = [None, None]
+
+        def request(i):
+            with d.client() as c:
+                try:
+                    c.cells([_spec(cell)])
+                except ServeError as e:
+                    errors[i] = e
+
+        t0 = time.monotonic()
+        threads = [threading.Thread(target=request, args=(i,))
+                   for i in range(2)]
+        threads[0].start()
+        _wait_for(lambda: flights.in_flight() == 1)
+        threads[1].start()
+        _wait_for(lambda: [f.joiners for f in flights._flights.values()]
+                  == [1])
+        release.touch()
+        for t in threads:
+            t.join(10)
+        assert time.monotonic() - t0 < 10.0
+        for e in errors:
+            assert e is not None and e.status == 500
+            assert e.payload["error"].startswith("WorkerLost: ")
+            assert cell_label(cell) in e.payload["error"]
+        with d.client() as c:
+            stats = c.stats()
+            assert stats["in_flight"] == 0
+            assert stats["counters"]["errors"] == 2
+
+            monkeypatch.undo()
+            retry = c.cells([_spec(cell)])
+            assert c.stats()["pool_live"] is True
+        assert retry["serve"]["led"] == 1
+        assert retry["results"][0]["cpi"] > 0
+
+
+class TestLifecycle:
+    def test_start_forks_every_worker_before_any_request(self, tmp_path):
+        """The daemon forks its workers before it opens the socket, so
+        start() must fork them, not merely build the executor."""
+        s = _scheduler(tmp_path, jobs=2)
+        try:
+            s.start()
+            assert len(s._pool._processes) == 2
+        finally:
+            s.close()
+
+    def test_close_ends_a_running_cell_promptly(self, tmp_path,
+                                                monkeypatch):
+        """close() with a cell running (the daemon's shutdown path) ends
+        the worker at once instead of waiting for the cell, and fails
+        the cell's flight."""
+        pid_file = tmp_path / "worker.pid"
+        monkeypatch.setitem(_WORKER_FILES, "pid", str(pid_file))
+        monkeypatch.setattr(engine_mod, "_execute_task", _hang_in_worker)
+        s = _scheduler(tmp_path)
+        s.start()
+        failures = []
+
+        def request():
+            try:
+                s.fetch(_cells(names=("iadd",)))
+            except Exception as e:  # noqa: BLE001 - recorded, asserted
+                failures.append(e)
+
+        t = threading.Thread(target=request)
+        t.start()
+        try:
+            _wait_for(lambda: pid_file.exists() and pid_file.read_text())
+            pid = int(pid_file.read_text())
+        finally:
+            t0 = time.monotonic()
+            s.close()
+            assert time.monotonic() - t0 < 5.0
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+        t.join(10)
+        assert not t.is_alive()
+        assert len(failures) == 1 and isinstance(failures[0], WorkerLost)
+        assert s._flights.in_flight() == 0
+
+
+class TestPublishFailure:
+    def test_enospc_on_publish_answers_and_wedges_nothing(
+            self, tmp_path, monkeypatch, daemon_factory):
+        """A full disk at publish costs the cache entry, not the
+        request: the answer is the clean run's payload, the key is
+        free, and what the store already held is still served warm."""
+        warm, cold = _cells(names=("iadd", "fadd"))
+        clean = daemon_factory(cache_dir=str(tmp_path / "clean"),
+                               telemetry=False)
+        with clean.client() as c:
+            expected = json.dumps(c.cells([_spec(cold)])["results"])
+
+        def no_space(fd):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        d = daemon_factory(cache_dir=str(tmp_path / "cache"),
+                           telemetry=False)
+        with d.client() as c:
+            stored = c.cells([_spec(warm)])["results"]
+            monkeypatch.setattr(cache_mod.os, "fsync", no_space)
+            with pytest.warns(RuntimeWarning,
+                              match="cannot write sweep-cache entry"):
+                answer = c.cells([_spec(cold)])
+            assert json.dumps(answer["results"]) == expected
+            assert answer["serve"]["led"] == 1
+            assert c.stats()["in_flight"] == 0
+            hit = c.cells([_spec(warm)])
+            assert hit["serve"]["warm_hits"] == 1
+            assert hit["results"] == stored
+
+            monkeypatch.undo()
+            again = c.cells([_spec(cold)])
+            assert again["serve"]["misses"] == 1
+            assert again["serve"]["led"] == 1
+            assert json.dumps(again["results"]) == expected
+            hit = c.cells([_spec(warm)])
+            assert hit["serve"]["warm_hits"] == 1
+            assert hit["results"] == stored
 
 
 class TestCoalescing:
